@@ -22,9 +22,15 @@ lattice points ``{x : sum(x) <= d}`` (a classical unique-interpolation set),
 and the codeword is the evaluation over all of GF(p)^m.  Local decoding of
 message coordinate ``i`` therefore reduces to locally *correcting* the
 codeword position of lattice point ``i``: pick a random line through it,
-Berlekamp–Welch-decode the restriction (a univariate polynomial of degree
-≤ d) from the ``p - 1`` other points of the line, and evaluate at the
-decoded point.
+decode the restriction (a univariate polynomial of degree ≤ d) from the
+``p - 1`` other points of the line, and evaluate at the decoded point.
+
+That restriction is a Reed–Solomon codeword over GF(p) evaluated at all of
+GF(p)*, so the batched :meth:`ReedMullerLDC.local_decode_many` decodes every
+row with the field-generic lockstep syndrome decoder shared with
+:mod:`repro.coding.reed_solomon`.  The per-row :func:`berlekamp_welch`
+(:meth:`ReedMullerLDC.local_decode`) is its scalar oracle, kept live as a
+sentinel on every batched call with dirty rows.
 """
 
 from __future__ import annotations
@@ -36,8 +42,20 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.coding.ldc_interfaces import LocalDecodingFailure, LocallyDecodableCode
+from repro.coding.reed_solomon import correct_syndromes_many, power_table
 from repro.fields.gfp import PrimeField, is_prime
+from repro.obs import metrics
 from repro.utils.rng import derive
+
+
+#: rows per lockstep decode in :meth:`ReedMullerLDC.local_decode_many`;
+#: bounds the pipeline's temporaries (about ten row-sized arrays)
+_LINE_BLOCK_ROWS = 4096
+
+
+class BatchParityError(RuntimeError):
+    """The batched line decoder disagreed with the scalar Berlekamp–Welch
+    oracle — a kernel bug, never a property of the received word."""
 
 
 def _lattice_points(m: int, degree: int) -> List[Tuple[int, ...]]:
@@ -257,32 +275,32 @@ class ReedMullerLDC(LocallyDecodableCode):
         return int(coeffs[0])  # g(0) = f(decoded point)
 
     def _line_operators(self):
-        """Cached (interpolation inverse, full Vandermonde) pair for the
-        line-decoding fast path — both depend only on (p, degree)."""
+        """Cached line-decoding operators, which depend only on (p, d).
+
+        The restriction of a codeword to a decoding line is a Reed–Solomon
+        codeword over GF(p): the values of a degree-<=d polynomial ``g`` at
+        ``t = 1..p-1``, i.e. at every element of GF(p)*.  Since
+        ``sum_{t != 0} t^i = 0`` unless ``(p-1) | i``, a word ``y`` is such a
+        codeword iff its ``q - d - 1`` syndromes ``S_j = sum_t y_t t^j``
+        (``j = 1..q-d-1``) all vanish.  Returns ``(syndrome_matrix,
+        inverse_powers, c0)``: the (q, q-d-1) matrix ``H[t-1, j-1] = t^j``,
+        the powers ``t^{-j}`` (``j = 0..q-d-1``) of the Chien/Forney
+        evaluation points and the interpolation row mapping the first d+1
+        values of a codeword to ``g(0)``.
+        """
         cached = getattr(self, "_line_ops", None)
         if cached is not None:
             return cached
-        ts = np.arange(1, self.p, dtype=np.int64)
-        d = self.degree
-        head = ts[:d + 1]
-        vander = np.ones((d + 1, d + 1), dtype=np.int64)
-        for j in range(1, d + 1):
-            vander[:, j] = vander[:, j - 1] * head % self.p
-        inverse = np.stack(
-            [self.field.solve(vander, np.eye(d + 1, dtype=np.int64)[:, j])
-             for j in range(d + 1)], axis=1)
-        full_vander = np.ones((self.p - 1, d + 1), dtype=np.int64)
-        for j in range(1, d + 1):
-            full_vander[:, j] = full_vander[:, j - 1] * ts % self.p
-        # fused "head values -> tail predictions" operator, kept in float64
-        # for the batched fast path (entries < p, so every accumulated
-        # product below stays < p^2 * (d+1) < 2^53 and is exact).  The fit
-        # interpolates the first d+1 points exactly, so only the remaining
-        # q - (d+1) coordinates can disagree and need predicting
-        predict = self.field.matmul(inverse.T, full_vander.T)
-        self._line_ops = (inverse, full_vander,
-                          predict[:, d + 1:].astype(np.float64),
-                          inverse[0].astype(np.float64))
+        p, d = self.p, self.degree
+        ts = np.arange(1, p, dtype=np.int64)
+        n_synd = p - 2 - d
+        powers = np.ones((p - 1, max(n_synd, d) + 1), dtype=np.int64)
+        for j in range(1, powers.shape[1]):
+            powers[:, j] = powers[:, j - 1] * ts % p
+        c0 = self.field.inv_matrix(powers[:d + 1, :d + 1])[0]
+        self._line_ops = (powers[:, 1:n_synd + 1].copy(),
+                          power_table(self.field, self.field.inv(ts),
+                                      n_synd + 1), c0)
         return self._line_ops
 
     def local_decode_many(self, index: int, values: np.ndarray,
@@ -293,40 +311,67 @@ class ReedMullerLDC(LocallyDecodableCode):
         its sketch slot out of every group's codeword with shared
         randomness).
 
-        Fast path: fit a degree-d polynomial through the first d+1 query
-        values of every row in one matrix product and keep rows whose fit
-        explains all q values; only inconsistent (i.e. corrupted) rows pay
-        for Berlekamp–Welch.  Rows that fail BW come back as -1.
+        Every row is decoded in lockstep as a Reed–Solomon word over GF(p)
+        (see :meth:`_line_operators`): one matrix product gives all
+        syndromes, rows with all-zero syndromes are clean, and the dirty
+        rows go through the shared field-generic
+        :func:`~repro.coding.reed_solomon.correct_syndromes_many` (lockstep
+        Berlekamp–Massey, Chien search, Forney, re-syndrome check) with
+        radius ``e = (q - d - 1) // 2``.  That bounded-distance decoder
+        returns exactly what scalar Berlekamp–Welch returns — the unique
+        degree-<=d polynomial within distance ``e``, or failure — so rows
+        that fail come back as -1, as :meth:`local_decode` would raise.
+
+        The scalar :meth:`local_decode` stays live as a sentinel: rows are
+        decoded in blocks of :data:`_LINE_BLOCK_ROWS`, and in every block
+        with dirty rows the first one is decoded through it too; any
+        disagreement raises :class:`BatchParityError`.
         """
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 2 or values.shape[1] != self.p - 1:
             raise ValueError(f"expected shape (*, {self.p - 1})")
+        out = np.empty(values.shape[0], dtype=np.int64)
+        with metrics.timed("ldc.local_decode_many"):
+            for start in range(0, values.shape[0], _LINE_BLOCK_ROWS):
+                stop = start + _LINE_BLOCK_ROWS
+                out[start:stop] = self._decode_lines(
+                    index, values[start:stop], seed)
+        return out
+
+    def _decode_lines(self, index: int, values: np.ndarray,
+                      seed: int) -> np.ndarray:
         # skip the reduction write pass when the rows are already reduced
         # (the common case: symbols straight off the wire)
         if values.size and (values.min() < 0 or values.max() >= self.p):
             values = values % self.p
-        d = self.degree
-        inverse, full_vander, predict_tail_f, c0_f = self._line_operators()
-        if self.p * self.p * (d + 1) < 1 << 53:
-            # one BLAS product head -> tail predictions; exact in float64
-            head_f = values[:, :d + 1].astype(np.float64)
-            predicted = np.remainder(head_f @ predict_tail_f, float(self.p))
-            clean = np.all(predicted == values[:, d + 1:], axis=1)
-            c0 = np.remainder(head_f @ c0_f, float(self.p))
-            out = np.full(values.shape[0], -1, dtype=np.int64)
-            out[clean] = c0[clean].astype(np.int64)
-        else:
-            coeffs = self.field.matmul(values[:, :d + 1], inverse.T)
-            # predictions at all q points
-            predicted = self.field.matmul(coeffs, full_vander.T)
-            clean = np.all(predicted == values, axis=1)
-            out = np.full(values.shape[0], -1, dtype=np.int64)
-            out[clean] = coeffs[clean, 0]
-        for row in np.flatnonzero(~clean):
+        field = self.field
+        syndrome_matrix, inverse_powers, c0 = self._line_operators()
+        syndromes = field.matmul(values, syndrome_matrix)
+        dirty = np.flatnonzero(syndromes.any(axis=1))
+        metrics.count("ldc.rows", values.shape[0])
+        metrics.count("ldc.dirty_rows", int(dirty.size))
+        accepted = np.ones(values.shape[0], dtype=bool)
+        corrected = values
+        if dirty.size:
+            patched, ok = correct_syndromes_many(
+                field, values[dirty], syndromes[dirty], syndrome_matrix,
+                inverse_powers)
+            corrected = values.copy()
+            corrected[dirty] = patched  # rejected rows are masked below
+            accepted[dirty] = ok
+        metrics.count("ldc.failed_rows", int(np.count_nonzero(~accepted)))
+        decoded = field.matmul(corrected[:, :self.degree + 1], c0[:, None])
+        out = np.where(accepted, decoded[:, 0], -1)
+        if dirty.size:
+            row = int(dirty[0])
             try:
-                out[row] = self.local_decode(index, values[row], seed)
+                expected = self.local_decode(index, values[row], seed)
             except LocalDecodingFailure:
-                out[row] = -1
+                expected = -1
+            if expected != out[row]:
+                raise BatchParityError(
+                    f"batched line decode returned {int(out[row])} for row "
+                    f"{row}, scalar Berlekamp–Welch {expected}")
         return out
 
     # -- convenience -----------------------------------------------------------

@@ -17,6 +17,13 @@ Berlekamp–Massey with the erasure locator ``Gamma(x) = prod (1 - alpha^p x)``
 so the combined error/erasure locator ``psi = Gamma * sigma`` comes out of
 the same lockstep kernel that solves the errors-only case (``f = 0``
 reduces to the classic recursion exactly).
+
+The batched kernels (:func:`berlekamp_massey_many`,
+:func:`correct_syndromes_many`) are field-generic: they only use the
+field's ``add``/``sub``/``mul``/``sum``/``div_where``/``matmul`` and its
+``characteristic``, so the same code
+decodes Reed–Solomon words over GF(2^m) here and the GF(p) line
+restrictions of the Reed–Muller LDC (:mod:`repro.coding.reed_muller`).
 """
 
 from __future__ import annotations
@@ -27,6 +34,158 @@ from repro.coding.interfaces import BinaryCode, DecodingFailure
 from repro.fields.gf2m import GF2m
 from repro.obs import metrics
 from repro.utils.bits import BitArray, as_bits
+
+
+# -- field-generic batched kernels ---------------------------------------
+
+def power_table(field, xs: np.ndarray, count: int) -> np.ndarray:
+    """``table[j, i] = xs[i] ** j`` for ``j < count``: the operand that turns
+    evaluating many polynomials at the points ``xs`` into one field matrix
+    product (``coeffs @ table[:width]``), as the batch Chien search and
+    the batch Forney step do.  Decoders build it once per code, at the
+    inverse error locators."""
+    table = np.ones((count, xs.size), dtype=np.int64)
+    for j in range(1, count):
+        table[j] = field.mul(table[j - 1], xs)
+    return table
+
+
+def berlekamp_massey_many(field, syndromes: np.ndarray,
+                          gammas: np.ndarray | None = None,
+                          fs: np.ndarray | None = None):
+    """Vectorised multi-row Berlekamp–Massey, optionally erasure-seeded.
+
+    ``syndromes`` is a ``(rows, 2t)`` matrix; every row advances the
+    classic LFSR-synthesis state machine in lockstep, with the
+    data-dependent branches turned into row masks.  Returns
+    ``(locators, lengths)``: the full ``(rows, 2t + 1)`` locator buffer
+    (callers check degree bounds themselves) and the per-row LFSR length L.
+
+    Instead of the scalar version's explicit ``shift`` counter, the
+    previous locator is kept *pre-shifted*: ``shifted_b`` holds
+    ``x^shift * B(x)`` and is multiplied by ``x`` (one uniform roll across
+    all rows) at the end of every iteration, which is what makes the per-row
+    variable shift vectorisable.
+
+    With erasures, row r starts from ``c = Gamma_r`` (``gammas``, the
+    erasure locators) with LFSR length ``f_r`` (``fs``) and only joins the
+    recursion once ``i >= f_r`` (its first ``f_r`` syndromes are absorbed by
+    Gamma); the inactive-row masking covers the end-of-iteration roll too,
+    so a row's first active iteration still sees ``x * Gamma`` as its
+    shifted previous locator.  ``lengths`` then counts the roots of the
+    combined error/erasure locator.  Without erasures (``Gamma = 1``,
+    ``f = 0``) this is the classic recursion exactly.
+
+    The scalar ``ReedSolomonCodec._berlekamp_massey`` and
+    ``_berlekamp_massey_erasures`` are the parity oracles for this kernel.
+    """
+    synd = np.asarray(syndromes, dtype=np.int64)
+    rows, n_synd = synd.shape
+    width = n_synd + 1  # deg(c) <= L <= n_synd throughout
+    if gammas is None:
+        c = np.zeros((rows, width), dtype=np.int64)
+        c[:, 0] = 1
+        fs = np.zeros(rows, dtype=np.int64)
+    else:
+        c = np.asarray(gammas, dtype=np.int64).copy()
+        fs = np.asarray(fs, dtype=np.int64)
+    shifted_b = np.zeros((rows, width), dtype=np.int64)
+    shifted_b[:, 1:] = c[:, :-1]  # x^1 * B(x) with B = Gamma, shift = 1
+    lengths = fs.copy()
+    b_discrepancy = np.ones(rows, dtype=np.int64)
+    for i in range(n_synd):
+        # d = sum_{j=0..i} c_j * S_{i-j} (c_0 = 1 throughout); coefficients
+        # beyond the current degree are zero, so the full-width sum matches
+        # the scalar loop
+        d = field.sum(field.mul(c[:, :i + 1], synd[:, i::-1]), axis=1)
+        update = d != 0
+        if gammas is not None:
+            active = i >= fs
+            update &= active
+        grow = update & (2 * lengths <= i + fs)
+        adjustment = field.mul(
+            field.div_where(d, b_discrepancy)[:, None], shifted_b)
+        new_c = np.where(update[:, None], field.sub(c, adjustment), c)
+        shifted_b = np.where(grow[:, None], c, shifted_b)
+        b_discrepancy = np.where(grow, d, b_discrepancy)
+        lengths = np.where(grow, i + 1 - lengths + fs, lengths)
+        c = new_c
+        # B' <- x * B' (np.where copied it, so shifting in place is safe);
+        # an inactive row keeps x * Gamma frozen until its recursion starts
+        if gammas is None:
+            shifted_b[:, 1:] = shifted_b[:, :-1]
+            shifted_b[:, 0] = 0
+        else:
+            rolled = np.zeros_like(shifted_b)
+            rolled[:, 1:] = shifted_b[:, :-1]
+            shifted_b = np.where(active[:, None], rolled, shifted_b)
+    return c, lengths
+
+
+def _formal_derivative_many(field, polys: np.ndarray) -> np.ndarray:
+    """Row-wise formal derivative: coefficient j of P' is ``j * P_{j+1}``
+    with ``j`` reduced mod the characteristic (odd-degree terms survive in
+    GF(2^m))."""
+    if polys.shape[1] <= 1:
+        return np.zeros((polys.shape[0], 1), dtype=np.int64)
+    scale = np.arange(1, polys.shape[1]) % field.characteristic
+    return field.mul(polys[:, 1:], scale[None, :])
+
+
+def correct_syndromes_many(field, words: np.ndarray, syndromes: np.ndarray,
+                           syndrome_matrix: np.ndarray,
+                           inverse_powers: np.ndarray,
+                           gammas: np.ndarray | None = None,
+                           fs: np.ndarray | None = None):
+    """Bounded-distance correction of dirty words from their syndromes.
+
+    The shared back half of every batched syndrome decoder.  ``words`` is
+    ``(rows, n)``; position ``i`` has error locator ``X_i``,
+    ``syndromes = words @ syndrome_matrix`` with ``S_j = sum_i w_i X_i^j``
+    for ``j = 1..2t``, and ``inverse_powers`` is
+    ``power_table(field, X^{-1}, 2t + 1)``.  All rows run lockstep
+    Berlekamp–Massey, batch Chien search at ``X_i^{-1}``, batch Forney
+    (``e_i = -Omega(X_i^{-1}) / Lambda'(X_i^{-1})``, so the corrected
+    symbol is ``w_i + Omega / Lambda'``) and a batched re-syndrome check.
+    A row is accepted only if ``2L - f <= 2t``, ``deg Lambda <= L``, the
+    locator has exactly ``L`` roots among the positions, no Forney
+    denominator vanishes and the corrected word has zero syndromes.
+
+    Returns ``(patched, ok)``; rows with ``ok`` False are meaningless.
+    ``gammas``/``fs`` seed erasure locators (see
+    :func:`berlekamp_massey_many`).
+    """
+    rows, n_synd = syndromes.shape
+    locators, lengths = berlekamp_massey_many(field, syndromes, gammas, fs)
+    fs = np.zeros(rows, dtype=np.int64) if fs is None else fs
+    ok = (2 * lengths - fs) <= n_synd
+    # degree bound: coefficients beyond the claimed root count vanish
+    cols = np.arange(locators.shape[1])[None, :]
+    ok &= ~((locators != 0) & (cols > lengths[:, None])).any(axis=1)
+    # every accepted locator fits in the widest accepted length
+    width = int(lengths[ok].max()) + 1 if ok.any() else 1
+    locators = np.where(ok[:, None], locators[:, :width], 0)
+
+    # batch Chien search: evaluate every locator at every position
+    err = field.matmul(locators, inverse_powers[:width]) == 0
+    ok &= err.sum(axis=1) == lengths
+
+    # batch Forney: omega = S * Lambda mod x^{2t}, Lambda' formal derivative
+    omega = np.zeros((rows, n_synd), dtype=np.int64)
+    for b in range(min(width, n_synd)):
+        omega[:, b:] = field.add(omega[:, b:], field.mul(
+            locators[:, b][:, None], syndromes[:, :n_synd - b]))
+    deriv = _formal_derivative_many(field, locators)
+    omega_vals = field.matmul(omega, inverse_powers[:n_synd])
+    deriv_vals = field.matmul(deriv, inverse_powers[:deriv.shape[1]])
+    ok &= ~np.any(err & (deriv_vals == 0), axis=1)  # Forney denominator
+    apply = err & ok[:, None]
+    patched = field.add(
+        words, np.where(apply, field.div_where(omega_vals, deriv_vals), 0))
+
+    # verify: all syndromes of every corrected word must vanish
+    ok &= ~field.matmul(patched, syndrome_matrix).any(axis=1)
+    return patched, ok
 
 
 class ReedSolomonCodec:
@@ -49,6 +208,8 @@ class ReedSolomonCodec:
         # alpha^{-j} / alpha^{j} for every codeword position j (Chien search)
         self._alpha_inv_positions = field.pow_alpha_many(-np.arange(n))
         self._alpha_positions = field.pow_alpha_many(np.arange(n))
+        self._inverse_powers = power_table(field, self._alpha_inv_positions,
+                                           n - k + 1)
         # systematic parity matrix: parity(msg) = msg @ P over GF(2^m);
         # row i is x^{n_parity + i} mod g, built by the shift-and-reduce
         # recurrence r_{i+1} = (r_i * x) mod g (g is monic, so reduction is
@@ -157,7 +318,7 @@ class ReedSolomonCodec:
         The erasure locator Gamma(x) = prod_{p erased} (1 + alpha^p x) seeds
         Berlekamp–Massey; the recursion then synthesises the combined
         error/erasure locator psi = Gamma * sigma directly.  This scalar path
-        is deliberately independent of :meth:`_correct_many_erasures` so the
+        is deliberately independent of :func:`correct_syndromes_many` so the
         parity tests can race them.
         """
         field = self.field
@@ -266,32 +427,20 @@ class ReedSolomonCodec:
         words = np.asarray(words, dtype=np.int64)
         return self.field.matmul(words, self._syndrome_matrix)
 
-    def _eval_many(self, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Evaluate polynomial row r of ``coeffs`` at every x in ``xs``:
-        a (rows, len(xs)) Horner sweep — one vectorised multiply-add per
-        coefficient column, shared by the batch Chien search and the batch
-        Forney step."""
-        field = self.field
-        out = np.zeros((coeffs.shape[0], xs.size), dtype=np.int64)
-        for c in range(coeffs.shape[1] - 1, -1, -1):
-            out = field.mul(out, xs[None, :]) ^ coeffs[:, c][:, None]
-        return out
-
     def correct_many(self, words: np.ndarray,
                      erasures: np.ndarray | None = None):
         """Batch bounded-distance correction of (count, n) words.
 
         Returns ``(corrected, failed)``.  The pipeline is vectorised end to
-        end: batched syndromes, a zero-syndrome short-circuit, a batched
-        multi-row Berlekamp–Massey (:meth:`_berlekamp_massey_many`, all
-        dirty rows advancing in lockstep) for the error locators, then batch
-        Chien search, batch Forney evaluation and a batched re-syndrome
-        verification over all dirty rows at once.  Failed rows are returned
-        unmodified with their flag set.
+        end: batched syndromes, a zero-syndrome short-circuit, then the
+        shared :func:`correct_syndromes_many` over all dirty rows at once
+        (lockstep multi-row Berlekamp–Massey, batch Chien search, batch
+        Forney and a batched re-syndrome verification).  Failed rows are
+        returned unmodified with their flag set.
 
         ``erasures`` optionally supplies a (count, n) boolean mask of
-        known-unreliable positions; rows then decode through the batched
-        errors-and-erasures kernel with per-row radius ``2e + f <= n - k``.
+        known-unreliable positions; rows then decode through the
+        erasure-seeded kernel with per-row radius ``2e + f <= n - k``.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
@@ -303,59 +452,34 @@ class ReedSolomonCodec:
                     f"erasure mask shape {masks.shape} != {words.shape}")
             if masks.any():
                 with metrics.timed("rs.correct_many_erasures"):
-                    return self._correct_many_erasures(words, masks)
+                    return self._correct_many(words, masks)
         with metrics.timed("rs.correct_many"):
             return self._correct_many(words)
 
-    def _correct_many(self, words: np.ndarray):
+    def _correct_many(self, words: np.ndarray,
+                      masks: np.ndarray | None = None):
         count = words.shape[0]
         metrics.count("rs.words", count)
         corrected = words.copy()
         failed = np.zeros(count, dtype=bool)
         syndromes = self.syndromes_many(words)
-        dirty = np.flatnonzero(syndromes.any(axis=1))
+        dirty = syndromes.any(axis=1)
+        if masks is not None:
+            fs_all = masks.sum(axis=1).astype(np.int64)
+            failed |= fs_all > self.n - self.k
+            dirty &= ~failed
+        dirty = np.flatnonzero(dirty)
         metrics.count("rs.dirty_rows", int(dirty.size))
-        if dirty.size == 0:
-            return corrected, failed
-        field = self.field
-        n_synd = self.n - self.k
-        synd = syndromes[dirty]
-
-        # error locators: all dirty rows walk Berlekamp–Massey in lockstep
-        with metrics.timed("rs.batch_bm"):
-            full_sigmas, num_errors = self._berlekamp_massey_many(synd)
-        ok = (num_errors <= self.t) \
-            & ~full_sigmas[:, self.t + 1:].any(axis=1)
-        sigmas = np.where(ok[:, None], full_sigmas[:, :self.t + 1], 0)
-
-        # batch Chien search: evaluate every locator at every position
-        evals = self._eval_many(sigmas, self._alpha_inv_positions)
-        err = (evals == 0)
-        ok &= err.sum(axis=1) == num_errors
-
-        # batch Forney: omega = S * sigma mod x^{2t}, sigma' formal derivative
-        omega = np.zeros((dirty.size, n_synd), dtype=np.int64)
-        for b in range(min(self.t, n_synd - 1) + 1):
-            omega[:, b:] ^= field.mul(sigmas[:, b][:, None],
-                                      synd[:, :n_synd - b])
-        deriv = sigmas[:, 1:].copy()
-        deriv[:, 1::2] = 0
-        if deriv.shape[1] == 0:
-            deriv = np.zeros((dirty.size, 1), dtype=np.int64)
-        omega_vals = self._eval_many(omega, self._alpha_inv_positions)
-        deriv_vals = self._eval_many(deriv, self._alpha_inv_positions)
-        ok &= ~np.any(err & (deriv_vals == 0), axis=1)  # Forney denominator
-        apply = err & ok[:, None]
-        magnitudes = field.mul(
-            omega_vals, field.inv(np.where(deriv_vals == 0, 1, deriv_vals)))
-        patched = words[dirty] ^ np.where(apply, magnitudes, 0)
-
-        # verify: all syndromes of every corrected word must vanish
-        ok &= ~self.field.matmul(patched, self._syndrome_matrix).any(axis=1)
-
-        good = dirty[ok]
-        corrected[good] = patched[ok]
-        failed[dirty[~ok]] = True
+        if dirty.size:
+            gammas = fs = None
+            if masks is not None:
+                gammas = self._erasure_locators_many(masks[dirty])
+                fs = fs_all[dirty]
+            patched, ok = correct_syndromes_many(
+                self.field, words[dirty], syndromes[dirty],
+                self._syndrome_matrix, self._inverse_powers, gammas, fs)
+            corrected[dirty[ok]] = patched[ok]
+            failed[dirty[~ok]] = True
         metrics.count("rs.failed_rows", int(failed.sum()))
         return corrected, failed
 
@@ -374,58 +498,8 @@ class ReedSolomonCodec:
         messages[failed] = 0
         return messages, failed
 
-    def _berlekamp_massey_many(self, syndromes: np.ndarray):
-        """Vectorised multi-row Berlekamp–Massey.
-
-        ``syndromes`` is a ``(rows, 2t)`` matrix; every row advances the
-        classic LFSR-synthesis state machine in lockstep, with the
-        data-dependent branches turned into row masks.  Returns
-        ``(sigmas, lengths)`` where ``sigmas`` is ``(rows, 2t + 1)`` (the
-        full locator buffer — callers check degree bounds themselves) and
-        ``lengths`` the per-row LFSR length L.
-
-        Instead of the scalar version's explicit ``shift`` counter, the
-        previous locator is kept *pre-shifted*: ``shifted_b`` holds
-        ``x^shift * B(x)`` and is multiplied by ``x`` (one uniform roll
-        across all rows) at the end of every iteration, which is what makes
-        the per-row variable shift vectorisable.  The per-word
-        :meth:`_berlekamp_massey` is the parity oracle for this kernel
-        (``tests/test_reed_solomon.py`` races them row by row, including
-        beyond-radius rows).
-        """
-        field = self.field
-        synd = np.asarray(syndromes, dtype=np.int64)
-        rows, n_synd = synd.shape
-        width = n_synd + 1  # deg(sigma) <= L <= n_synd throughout
-        c = np.zeros((rows, width), dtype=np.int64)
-        c[:, 0] = 1
-        shifted_b = np.zeros((rows, width), dtype=np.int64)
-        shifted_b[:, 1] = 1  # x^1 * B(x) with B = 1, shift = 1
-        lengths = np.zeros(rows, dtype=np.int64)
-        b_discrepancy = np.ones(rows, dtype=np.int64)
-        for i in range(n_synd):
-            # d = sum_{j=0..i} c_j * S_{i-j}; coefficients beyond the
-            # current degree are zero, so the full-width sum matches the
-            # scalar loop's 1..L window
-            d = synd[:, i].copy()
-            for j in range(1, min(i, width - 1) + 1):
-                d ^= field.mul(c[:, j], synd[:, i - j])
-            update = d != 0
-            grow = update & (2 * lengths <= i)
-            adjustment = field.mul(
-                field.div_where(d, b_discrepancy)[:, None], shifted_b)
-            new_c = np.where(update[:, None], c ^ adjustment, c)
-            shifted_b = np.where(grow[:, None], c, shifted_b)
-            b_discrepancy = np.where(grow, d, b_discrepancy)
-            lengths = np.where(grow, i + 1 - lengths, lengths)
-            c = new_c
-            # uniform end-of-iteration shift: B' <- x * B'
-            shifted_b[:, 1:] = shifted_b[:, :-1]
-            shifted_b[:, 0] = 0
-        return c, lengths
-
     def _erasure_locators_many(self, masks: np.ndarray) -> np.ndarray:
-        """Build the erasure locator Gamma(x) = prod (1 + alpha^p x) for
+        """Build the erasure locator Gamma(x) = prod (1 - alpha^p x) for
         every row of a (rows, n) boolean mask, as (rows, n - k + 1)
         ascending-coefficient polynomials.  Vectorised over rows: the
         erased positions are ranked within their row, padded to the widest
@@ -451,120 +525,9 @@ class ReedSolomonCodec:
             roots = self._alpha_positions[np.where(active, pos, 0)]
             shifted = np.zeros_like(gammas)
             shifted[:, 1:] = field.mul(gammas[:, :-1], roots[:, None])
-            gammas = np.where(active[:, None], gammas ^ shifted, gammas)
+            gammas = np.where(active[:, None], field.sub(gammas, shifted),
+                              gammas)
         return gammas
-
-    def _berlekamp_massey_erasures_many(self, syndromes: np.ndarray,
-                                        gammas: np.ndarray,
-                                        fs: np.ndarray):
-        """Lockstep errors-and-erasures Berlekamp–Massey.
-
-        The erasure-seeded variant of :meth:`_berlekamp_massey_many`: row r
-        starts from ``c = Gamma_r`` with LFSR length ``f_r`` and only joins
-        the recursion once ``i >= f_r`` (its first ``f_r`` syndromes are
-        absorbed by Gamma).  The inactive-row masking must cover the
-        end-of-iteration ``x * B`` roll too, so that a row's first active
-        iteration still sees ``x * Gamma`` as its shifted previous locator.
-        Returns ``(psis, lengths)``: the combined error/erasure locators
-        (rows, n - k + 1) and their root counts.  With ``fs == 0``
-        everywhere this matches :meth:`_berlekamp_massey_many` exactly.
-        """
-        field = self.field
-        synd = np.asarray(syndromes, dtype=np.int64)
-        rows, n_synd = synd.shape
-        width = n_synd + 1
-        c = gammas.copy()
-        shifted_b = np.zeros((rows, width), dtype=np.int64)
-        shifted_b[:, 1:] = gammas[:, :-1]  # x^1 * Gamma, shift = 1
-        lengths = fs.astype(np.int64).copy()
-        b_discrepancy = np.ones(rows, dtype=np.int64)
-        for i in range(n_synd):
-            active = i >= fs
-            d = synd[:, i].copy()
-            for j in range(1, min(i, width - 1) + 1):
-                d ^= field.mul(c[:, j], synd[:, i - j])
-            update = active & (d != 0)
-            grow = update & (2 * lengths <= i + fs)
-            adjustment = field.mul(
-                field.div_where(d, b_discrepancy)[:, None], shifted_b)
-            new_c = np.where(update[:, None], c ^ adjustment, c)
-            shifted_b = np.where(grow[:, None], c, shifted_b)
-            b_discrepancy = np.where(grow, d, b_discrepancy)
-            lengths = np.where(grow, i + 1 - lengths + fs, lengths)
-            c = new_c
-            # roll B' <- x * B' only on active rows: an inactive row keeps
-            # x * Gamma frozen until its recursion starts
-            rolled = np.zeros_like(shifted_b)
-            rolled[:, 1:] = shifted_b[:, :-1]
-            shifted_b = np.where(active[:, None], rolled, shifted_b)
-        return c, lengths
-
-    def _correct_many_erasures(self, words: np.ndarray, masks: np.ndarray):
-        """Batched errors-and-erasures pipeline (mask is non-empty).
-
-        Mirrors :meth:`_correct_many` with the combined locator
-        ``psi = Gamma * sigma``: per-row decodability is
-        ``2L - f <= n - k`` (L roots total, f of them erasures) and the
-        degree/Chien/Forney/re-syndrome checks run over the full-width
-        locator buffer since deg(psi) can reach ``n - k``.
-        """
-        count = words.shape[0]
-        metrics.count("rs.words", count)
-        corrected = words.copy()
-        failed = np.zeros(count, dtype=bool)
-        n_synd = self.n - self.k
-        fs_all = masks.sum(axis=1).astype(np.int64)
-        over = fs_all > n_synd
-        failed |= over
-        syndromes = self.syndromes_many(words)
-        dirty = np.flatnonzero(syndromes.any(axis=1) & ~over)
-        metrics.count("rs.dirty_rows", int(dirty.size))
-        if dirty.size == 0:
-            metrics.count("rs.failed_rows", int(failed.sum()))
-            return corrected, failed
-        field = self.field
-        synd = syndromes[dirty]
-        fs = fs_all[dirty]
-        gammas = self._erasure_locators_many(masks[dirty])
-
-        with metrics.timed("rs.batch_bm_erasures"):
-            psis, lengths = self._berlekamp_massey_erasures_many(
-                synd, gammas, fs)
-        width = n_synd + 1
-        ok = (2 * lengths - fs) <= n_synd
-        # degree bound: coefficients beyond the claimed root count vanish
-        cols = np.arange(width)[None, :]
-        ok &= ~((psis != 0) & (cols > lengths[:, None])).any(axis=1)
-        psis = np.where(ok[:, None], psis, 0)
-
-        evals = self._eval_many(psis, self._alpha_inv_positions)
-        err = (evals == 0)
-        ok &= err.sum(axis=1) == lengths
-
-        # batch Forney with the combined locator: omega = S * psi mod x^{2t}
-        omega = np.zeros((dirty.size, n_synd), dtype=np.int64)
-        for b in range(n_synd):
-            omega[:, b:] ^= field.mul(psis[:, b][:, None],
-                                      synd[:, :n_synd - b])
-        deriv = psis[:, 1:].copy()
-        deriv[:, 1::2] = 0
-        if deriv.shape[1] == 0:
-            deriv = np.zeros((dirty.size, 1), dtype=np.int64)
-        omega_vals = self._eval_many(omega, self._alpha_inv_positions)
-        deriv_vals = self._eval_many(deriv, self._alpha_inv_positions)
-        ok &= ~np.any(err & (deriv_vals == 0), axis=1)
-        apply = err & ok[:, None]
-        magnitudes = field.mul(
-            omega_vals, field.inv(np.where(deriv_vals == 0, 1, deriv_vals)))
-        patched = words[dirty] ^ np.where(apply, magnitudes, 0)
-
-        ok &= ~self.field.matmul(patched, self._syndrome_matrix).any(axis=1)
-
-        good = dirty[ok]
-        corrected[good] = patched[ok]
-        failed[dirty[~ok]] = True
-        metrics.count("rs.failed_rows", int(failed.sum()))
-        return corrected, failed
 
     def _berlekamp_massey(self, syndromes):
         """Return (error locator polynomial sigma, number of errors L)."""

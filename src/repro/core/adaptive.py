@@ -236,6 +236,9 @@ class AdaptiveAllToAll(AllToAllProtocol):
                 break
         if spec is None:
             raise last_error
+        # a kept ProfileError's traceback would pin this frame (and every
+        # array it holds) in a reference cycle until the collector runs
+        last_error = None
         t_bits = spec.total_bits
         symbol_bits = (ldc.p - 1).bit_length() - 1   # sketch-bit packing
         wire_bits = (ldc.p - 1).bit_length()         # codeword symbols on the wire
@@ -461,18 +464,22 @@ class AdaptiveAllToAll(AllToAllProtocol):
                                                    num_parts)
                 slot_of[holder] = {pair: s for s, pair in enumerate(pairs)}
             base = offset_slot * t_symbols
-            for idx in range(base, base + t_symbols):
-                positions = query_positions[idx]
-                rows = np.zeros((nodes.size, num_parts, positions.size),
-                                dtype=np.int64)
-                for qi, position in enumerate(positions):
+            q = ldc.query_count
+            rows = np.zeros((t_symbols, nodes.size, num_parts, q),
+                            dtype=np.int64)
+            for si in range(t_symbols):
+                idx = base + si
+                for qi, position in enumerate(query_positions[idx]):
                     holder = int(position) % n
                     s = slot_of[holder][(idx, int(position))]
-                    rows[:, :, qi] = unpacked[holder][:, s, :]
-                decoded = ldc.local_decode_many(
-                    idx, rows.reshape(nodes.size * num_parts, positions.size),
-                    r3).reshape(nodes.size, num_parts)
-                bit_offset = (idx - base) * symbol_bits
+                    rows[si, :, :, qi] = unpacked[holder][:, s, :]
+            # line decoding is row-independent: every slot's lines go
+            # through one lockstep decode
+            decoded_slots = ldc.local_decode_many(
+                base, rows.reshape(-1, q), r3).reshape(
+                    t_symbols, nodes.size, num_parts)
+            for si, decoded in enumerate(decoded_slots):
+                bit_offset = si * symbol_bits
                 bad = decoded < 0
                 symbol_bits_arr = ((np.where(bad, 0, decoded)[:, :, None]
                                     >> np.arange(symbol_bits)[None, None, :])

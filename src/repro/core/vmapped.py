@@ -439,6 +439,9 @@ class BatchedAdaptiveAllToAll:
                 break
         if spec is None:
             raise last_error
+        # a kept ProfileError's traceback would pin this frame (and every
+        # array it holds) in a reference cycle until the collector runs
+        last_error = None
         if not planes_supported(spec):
             raise CellUnbatchable(
                 "sketch spec outside the plane fast path; scalar sketches "

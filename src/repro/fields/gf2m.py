@@ -66,6 +66,7 @@ class GF2m:
             raise ValueError(f"unsupported extension degree m={m}")
         self.m = m
         self.order = 1 << m
+        self.characteristic = 2
         self._poly = _PRIMITIVE_POLY[m]
         size = self.order - 1
         # antilog table by doubling: exp[f + i] = exp[f] * exp[i], where the
@@ -112,6 +113,10 @@ class GF2m:
                               np.asarray(b, dtype=np.int64))
 
     sub = add  # characteristic 2
+
+    def sum(self, a, axis=-1):
+        """Field sum along ``axis``: an XOR reduction."""
+        return np.bitwise_xor.reduce(np.asarray(a, dtype=np.int64), axis=axis)
 
     def mul(self, a, b):
         a_arr = np.asarray(a, dtype=np.int64)

@@ -60,6 +60,7 @@ class PrimeField:
             raise ValueError(f"prime {p} too large (max {_MAX_PRIME_BITS} bits)")
         self.p = p
         self.order = p
+        self.characteristic = p
 
     # -- scalar / array arithmetic -----------------------------------------
     def add(self, a, b):
@@ -71,6 +72,10 @@ class PrimeField:
     def mul(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
 
+    def sum(self, a, axis=-1):
+        """Field sum along ``axis`` (one reduction, then one ``mod``)."""
+        return np.asarray(a, dtype=np.int64).sum(axis=axis) % self.p
+
     def neg(self, a):
         return (-np.asarray(a, dtype=np.int64)) % self.p
 
@@ -81,18 +86,41 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         if arr.ndim == 0:
             return np.int64(pow(int(arr) % self.p, self.p - 2, self.p))
-        flat = [pow(int(x) % self.p, self.p - 2, self.p) for x in arr.ravel()]
-        return np.array(flat, dtype=np.int64).reshape(arr.shape)
+        return self._pow_array(arr % self.p, self.p - 2)
 
     def pow(self, a, e: int):
+        """``a ** e`` (scalar or array); a negative ``e`` inverts first."""
         arr = np.asarray(a, dtype=np.int64)
         if arr.ndim == 0:
             return np.int64(pow(int(arr) % self.p, int(e), self.p))
-        flat = [pow(int(x) % self.p, int(e), self.p) for x in arr.ravel()]
-        return np.array(flat, dtype=np.int64).reshape(arr.shape)
+        e = int(e)
+        if e < 0:
+            return self._pow_array(self.inv(arr), -e)
+        return self._pow_array(arr % self.p, e)
+
+    def _pow_array(self, base: np.ndarray, e: int) -> np.ndarray:
+        """Elementwise square-and-multiply on reduced ``base``: every
+        operand stays below ``p < 2**31``, so each product fits int64."""
+        result = np.ones_like(base)
+        while e:
+            if e & 1:
+                result = result * base % self.p
+            e >>= 1
+            if e:
+                base = base * base % self.p
+        return result
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def div_where(self, a, b):
+        """Elementwise ``a / b`` with zero divisors mapped to 0 instead of
+        raising — the masked form the batched decoder kernels need (as
+        :meth:`GF2m.div_where`)."""
+        b_arr = np.asarray(b, dtype=np.int64) % self.p
+        zero = b_arr == 0
+        out = self.mul(a, self.inv(np.where(zero, 1, b_arr)))
+        return np.where(zero, 0, out)
 
     # -- polynomials (coefficient vectors, low-to-high degree) -------------
     def poly_eval(self, coeffs: Sequence[int], xs) -> np.ndarray:
@@ -129,9 +157,11 @@ class PrimeField:
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` mod p by Gaussian elimination.
 
-        ``A`` may be rectangular with more rows than columns (the system must
-        be consistent); returns one solution.  Raises ``ValueError`` if the
-        system is inconsistent or underdetermined in a pivot column.
+        ``A`` may be rectangular in either direction; returns one solution.
+        Raises ``ValueError`` only if the system is inconsistent.  An
+        underdetermined system is not an error: every free (non-pivot)
+        variable is set to 0, which is the solution Berlekamp–Welch relies
+        on when its error budget exceeds the actual number of errors.
         """
         A = (np.asarray(A, dtype=np.int64) % self.p).copy()
         b = (np.asarray(b, dtype=np.int64) % self.p).copy()

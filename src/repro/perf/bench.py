@@ -25,6 +25,7 @@ import numpy as np
 from repro.cliquesim.network import CongestedClique
 from repro.coding.justesen import make_justesen_code
 from repro.coding.linear import best_effort_linear_code
+from repro.coding.reed_muller import ReedMullerLDC
 from repro.coding.reed_solomon import ReedSolomonBinaryCode, ReedSolomonCodec
 from repro.core import AllToAllInstance, make_protocol, verify_beliefs
 from repro.fields.gf2m import GF2m
@@ -148,6 +149,37 @@ def bench_rs_erasure_decode(count: int, repeats: int) -> Dict:
     batched = _best_of(lambda: codec.correct_many(noisy, erasures=masks),
                        repeats)
     return _entry("rs-erasure-decode", count, "words", ref, batched)
+
+
+def bench_ldc_local_decode(count: int, repeats: int) -> Dict:
+    """Reed–Muller line decoding for the n=64 adaptive compiler's code
+    (p=31, d=13: q=30 query values, radius 8) on the adversarial mix its
+    trials see: about 88% of rows dirty — most within the radius, an
+    eighth of them beyond it so the failure rows race too.  Races the
+    lockstep GF(p) syndrome decoder against the frozen per-row
+    Berlekamp–Welch loop; parity (decoded symbols and -1 rows) is asserted
+    before timing."""
+    rm = ReedMullerLDC(31, 2, 13)
+    radius = rm.max_line_errors()
+    rng = make_rng(108)
+    words = rm.encode_many(rng.integers(0, rm.p, size=(count, rm.k)))
+    values = words[:, rm.decode_indices(0, seed=0)].copy()
+    for i in range(count):
+        if i % 8 == 0:
+            continue  # clean
+        high = radius + 4 if i % 8 == 1 else radius
+        errors = int(rng.integers(1, high + 1))
+        positions = rng.choice(values.shape[1], errors, replace=False)
+        values[i, positions] = (values[i, positions]
+                                + rng.integers(1, rm.p, errors)) % rm.p
+    ref_out = reference.rm_local_decode_many_scalar(rm, values)
+    batch_out = rm.local_decode_many(0, values, 0)
+    assert np.array_equal(ref_out, batch_out)
+    assert (batch_out == -1).any()  # the beyond-radius rows must fail
+    ref = _best_of(lambda: reference.rm_local_decode_many_scalar(rm, values),
+                   1)
+    batched = _best_of(lambda: rm.local_decode_many(0, values, 0), repeats)
+    return _entry("ldc-local-decode", count, "lines", ref, batched)
 
 
 def bench_rs_symbol_decode(count: int, repeats: int) -> Dict:
@@ -566,6 +598,9 @@ def _suite_plan(suite: str):
                                                       r)),
             ("rs-binary-decode",
              lambda smoke, r: bench_rs_binary_decode(128 if smoke else 1024,
+                                                     r)),
+            ("ldc-local-decode",
+             lambda smoke, r: bench_ldc_local_decode(256 if smoke else 1024,
                                                      r)),
             ("justesen-decode",
              lambda smoke, r: bench_justesen_decode(64 if smoke else 512, r)),

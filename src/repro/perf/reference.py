@@ -65,6 +65,16 @@ def rs_encode_poly_mod(codec, messages: np.ndarray) -> np.ndarray:
     return out
 
 
+def _horner_many(field, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The replaced batch evaluator: row r of ``coeffs`` at every x in
+    ``xs``, one vectorised GF(2^m) multiply-add per coefficient column
+    (the shared kernels now use one product against a power table)."""
+    out = np.zeros((coeffs.shape[0], xs.size), dtype=np.int64)
+    for c in range(coeffs.shape[1] - 1, -1, -1):
+        out = field.mul(out, xs[None, :]) ^ coeffs[:, c][:, None]
+    return out
+
+
 def rs_correct_many_perrow_bm(codec, words: np.ndarray):
     """The PR-2 ``ReedSolomonCodec.correct_many``: batched syndromes, Chien
     and Forney, but the error-locator solve still runs the *scalar*
@@ -98,7 +108,7 @@ def rs_correct_many_perrow_bm(codec, words: np.ndarray):
         num_errors[row] = length
 
     # batch Chien search: evaluate every locator at every position
-    evals = codec._eval_many(sigmas, codec._alpha_inv_positions)
+    evals = _horner_many(field, sigmas, codec._alpha_inv_positions)
     err = (evals == 0)
     ok &= err.sum(axis=1) == num_errors
 
@@ -111,8 +121,8 @@ def rs_correct_many_perrow_bm(codec, words: np.ndarray):
     deriv[:, 1::2] = 0
     if deriv.shape[1] == 0:
         deriv = np.zeros((dirty.size, 1), dtype=np.int64)
-    omega_vals = codec._eval_many(omega, codec._alpha_inv_positions)
-    deriv_vals = codec._eval_many(deriv, codec._alpha_inv_positions)
+    omega_vals = _horner_many(field, omega, codec._alpha_inv_positions)
+    deriv_vals = _horner_many(field, deriv, codec._alpha_inv_positions)
     ok &= ~np.any(err & (deriv_vals == 0), axis=1)  # Forney denominator
     apply = err & ok[:, None]
     magnitudes = field.mul(
@@ -128,15 +138,43 @@ def rs_correct_many_perrow_bm(codec, words: np.ndarray):
     return corrected, failed
 
 
+def rm_local_decode_many_scalar(rm, values: np.ndarray) -> np.ndarray:
+    """The replaced ``ReedMullerLDC.local_decode_many``: a head->tail fit keeps
+    rows whose first d+1 values explain all q, and every other (dirty) row
+    pays one scalar Berlekamp–Welch (``PrimeField.solve`` elimination) in
+    Python.  Frozen as the reference for the lockstep GF(p) syndrome
+    decoder; rows that fail come back as -1."""
+    from repro.coding.ldc_interfaces import LocalDecodingFailure
+    from repro.coding.reed_muller import berlekamp_welch
+
+    field, d = rm.field, rm.degree
+    values = np.asarray(values, dtype=np.int64) % rm.p
+    ts = np.arange(1, rm.p, dtype=np.int64)
+    full_vander = np.ones((rm.p - 1, d + 1), dtype=np.int64)
+    for j in range(1, d + 1):
+        full_vander[:, j] = full_vander[:, j - 1] * ts % rm.p
+    inverse = field.inv_matrix(full_vander[:d + 1])
+    coeffs = field.matmul(values[:, :d + 1], inverse.T)
+    clean = np.all(field.matmul(coeffs, full_vander.T) == values, axis=1)
+    out = np.full(values.shape[0], -1, dtype=np.int64)
+    out[clean] = coeffs[clean, 0]
+    for row in np.flatnonzero(~clean):
+        try:
+            out[row] = berlekamp_welch(field, ts, values[row], d)[0]
+        except LocalDecodingFailure:
+            out[row] = -1
+    return out
+
+
 def rs_correct_many_erasures_scalar(codec, words: np.ndarray,
                                     erasures: np.ndarray):
     """Per-row errors-and-erasures decoding: each word goes through the
     scalar Gamma-seeded Berlekamp–Massey pipeline
     (:meth:`ReedSolomonCodec.correct` with its ``erasures`` argument),
     one python-level decode at a time.  The reference the batched
-    ``_correct_many_erasures`` kernel races — and, because the scalar and
-    batched pipelines are implemented independently, a parity assertion
-    between them checks the algebra twice."""
+    erasure-seeded ``correct_many`` kernel races — and, because the scalar
+    and batched pipelines are implemented independently, a parity
+    assertion between them checks the algebra twice."""
     words = np.asarray(words, dtype=np.int64)
     erasures = np.asarray(erasures, dtype=bool)
     if words.shape != erasures.shape:

@@ -650,7 +650,10 @@ class SketchPlaneStack:
             try:
                 results.append(self._trial_planes(trial).recover())
             except SketchRecoveryError as error:
-                results.append(error)
+                # drop the traceback: it pins this frame (and the planes
+                # its callees held) in a reference cycle through
+                # ``results`` until the cyclic collector happens to run
+                results.append(error.with_traceback(None))
         return results
 
     def to_bits_many(self) -> np.ndarray:

@@ -104,3 +104,33 @@ class TestSketchSubtractionAtScale:
         corrections = {e // 2 // n: e % 2 for e, f in survivors.items()
                        if f == 1}
         assert corrections == {u: truth[u] for u in corrupted}
+
+
+class TestNoFramesPinnedInCycles:
+    def test_adversarial_trial_leaves_no_frames_in_reference_cycles(self):
+        """A finished trial must free its frames (and every array they
+        hold) by reference counting alone.  A kept exception — the
+        capacity walk's last ``ProfileError``, a failed peel's
+        ``SketchRecoveryError`` — references its traceback, whose frames
+        reference the exception back; such a cycle pins the whole trial's
+        working set until the collector happens to run, and peak memory
+        then grows with every trial of a campaign."""
+        import gc
+        import types
+
+        from repro.experiments.runner import run_single
+        from repro.experiments.spec import TrialSpec
+
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_single(TrialSpec("adaptive", "adaptive", 16, 1 / 16))
+            gc.collect()
+            frames = [obj.f_code.co_name for obj in gc.garbage
+                      if isinstance(obj, types.FrameType)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert frames == []

@@ -58,6 +58,52 @@ class TestArithmetic:
             assert int(field.pow(a, exponent)) == expected
             expected = expected * a % field.p
 
+    @pytest.mark.parametrize("p", [3, 31, 524287, 2147483647])
+    def test_array_inv_and_pow_match_python_pow(self, p):
+        """Vectorised square-and-multiply is bit-identical to Python's
+        ``pow`` — including the largest 31-bit prime, where every product
+        is close to 2^62."""
+        field = PrimeField(p)
+        rng = np.random.default_rng(p)
+        values = rng.integers(1, p, size=(7, 9), dtype=np.int64)
+        values[0, :3] = [1, p - 1, p - 2 if p > 3 else 1]
+        inverses = field.inv(values)
+        assert inverses.shape == values.shape and inverses.dtype == np.int64
+        assert inverses.tolist() == [[pow(int(x), p - 2, p) for x in row]
+                                     for row in values]
+        for e in (0, 1, 2, 5, p - 2, p - 1, 12345, -1, -3):
+            got = field.pow(values, e)
+            assert got.shape == values.shape
+            assert got.tolist() == [[pow(int(x), e, p) for x in row]
+                                    for row in values], e
+
+    def test_array_pow_of_zero(self, field):
+        zeros = np.zeros(3, dtype=np.int64)
+        assert field.pow(zeros, 0).tolist() == [1, 1, 1]
+        assert field.pow(zeros, 4).tolist() == [0, 0, 0]
+        with pytest.raises(ZeroDivisionError):
+            field.pow(zeros, -1)
+
+    def test_array_inv_zero_raises(self, field):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(np.array([1, 0, 2]))
+
+    def test_div_where_maps_zero_divisors_to_zero(self, field):
+        a = np.array([[3, 5, 7], [0, 1, 2]]) % field.p
+        b = np.array([[2, 0, 1], [4, 0, field.p + 3]])
+        out = field.div_where(a, b)
+        assert out.shape == a.shape
+        for (i, j), value in np.ndenumerate(out):
+            if b[i, j] % field.p == 0:
+                assert value == 0
+            else:
+                assert value == int(field.div(int(a[i, j]), int(b[i, j])))
+
+    def test_sum_reduces_mod_p(self, field):
+        a = np.full((2, 5), field.p - 1, dtype=np.int64)
+        assert field.sum(a, axis=1).tolist() == [(5 * (field.p - 1))
+                                                 % field.p] * 2
+
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     @settings(max_examples=50)
     def test_field_axioms(self, x, y):
@@ -109,6 +155,18 @@ class TestLinearAlgebra:
         b = np.array([1, 2, 1])
         with pytest.raises(ValueError):
             field.solve(A, b)
+
+    def test_solve_underdetermined_sets_free_variables_to_zero(self, field):
+        """An underdetermined but consistent system is not an error: the
+        free (non-pivot) columns come back as 0.  Berlekamp–Welch relies on
+        this whenever a line carries fewer errors than its budget."""
+        A = np.array([[1, 2, 0, 5], [0, 0, 1, 3]])
+        b = np.array([4, 6])
+        x = field.solve(A, b)
+        assert x.tolist() == [4, 0, 6, 0]
+        # a zero column is free as well
+        x = field.solve(np.array([[0, 1], [0, 2]]), np.array([3, 6]))
+        assert x.tolist() == [0, 3]
 
     def test_inv_matrix(self, field):
         rng = np.random.default_rng(11)

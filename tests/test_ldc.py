@@ -201,3 +201,144 @@ class TestReedMuller:
         bad = rng.choice(len(values), budget, replace=False)
         values[bad] = (values[bad] + 1 + rng.integers(0, 11, budget)) % 13
         assert rm.local_decode(index, values, seed=seed) == msg[index]
+
+
+def _scalar_rows(rm, values):
+    """Row-by-row scalar Berlekamp–Welch oracle: g(0), or -1 on failure."""
+    ts = np.arange(1, rm.p)
+    out = []
+    for row in values:
+        try:
+            out.append(int(berlekamp_welch(rm.field, ts, row, rm.degree)[0]))
+        except LocalDecodingFailure:
+            out.append(-1)
+    return np.array(out, dtype=np.int64)
+
+
+def _line_words(rm, rng, weights):
+    """One restricted codeword per entry of ``weights``, each with that many
+    uniformly placed nonzero symbol errors."""
+    ts = np.arange(1, rm.p)
+    rows = []
+    for weight in weights:
+        coeffs = rng.integers(0, rm.p, rm.degree + 1)
+        row = rm.field.poly_eval(coeffs, ts).copy()
+        bad = rng.choice(rm.p - 1, weight, replace=False)
+        row[bad] = (row[bad] + rng.integers(1, rm.p, weight)) % rm.p
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+_PARITY_CODES = [
+    pytest.param(lambda: ReedMullerLDC(31, 2, 13), id="p31-d13"),
+    pytest.param(lambda: ReedMullerLDC.design(200, 10), id="design-p13-d3"),
+    pytest.param(lambda: ReedMullerLDC.design(3000, 60), id="design-p53-d10"),
+    pytest.param(lambda: ReedMullerLDC(5, 2, 1), id="tiny-p5-d1"),
+    pytest.param(lambda: ReedMullerLDC(3, 1, 1), id="tiny-p3-d1"),
+]
+
+
+class TestBatchedLineDecoder:
+    """The lockstep GF(p) syndrome decoder behind ``local_decode_many``
+    against the scalar Berlekamp–Welch oracle, row by row."""
+
+    @pytest.mark.parametrize("make", _PARITY_CODES)
+    def test_error_weights_match_oracle(self, make):
+        rm = make()
+        e = rm.max_line_errors()
+        rng = np.random.default_rng(rm.p * 100 + rm.degree)
+        weights = [w for w in range(e + 4) if w <= rm.p - 1] * 12
+        values = _line_words(rm, rng, weights)
+        batch = rm.local_decode_many(0, values, seed=1)
+        expected = _scalar_rows(rm, values)
+        assert np.array_equal(batch, expected)
+        weights = np.array(weights)
+        assert (expected[weights <= e] >= 0).all()  # inside the radius
+
+    @pytest.mark.parametrize("make", _PARITY_CODES)
+    def test_random_words_match_oracle(self, make):
+        rm = make()
+        rng = np.random.default_rng(rm.p)
+        values = rng.integers(0, rm.p, size=(60, rm.p - 1))
+        batch = rm.local_decode_many(3 % rm.k, values, seed=2)
+        assert np.array_equal(batch, _scalar_rows(rm, values))
+
+    def test_all_rows_dirty_batch(self):
+        rm = ReedMullerLDC(31, 2, 13)
+        e = rm.max_line_errors()
+        rng = np.random.default_rng(17)
+        weights = list(range(1, e + 4)) * 20
+        values = _line_words(rm, rng, weights)
+        syndromes = rm.field.matmul(values, rm._line_operators()[0])
+        assert syndromes.any(axis=1).all()
+        batch = rm.local_decode_many(5, values, seed=3)
+        expected = _scalar_rows(rm, values)
+        assert np.array_equal(batch, expected)
+        assert (batch == -1).any() and (batch >= 0).any()
+
+    def test_unreduced_and_empty_inputs(self):
+        rm = ReedMullerLDC(13, 2, 4)
+        rng = np.random.default_rng(4)
+        values = _line_words(rm, rng, [0, 1, 2, 5])
+        shifted = values + 13 * rng.integers(-2, 3, size=values.shape)
+        assert np.array_equal(rm.local_decode_many(0, shifted, seed=0),
+                              _scalar_rows(rm, values))
+        empty = rm.local_decode_many(0, np.zeros((0, 12), dtype=np.int64), 0)
+        assert empty.shape == (0,)
+
+    def test_sentinel_decodes_first_dirty_row_through_scalar(self,
+                                                             monkeypatch):
+        rm = ReedMullerLDC(13, 2, 4)
+        rng = np.random.default_rng(8)
+        calls = []
+        scalar = ReedMullerLDC.local_decode
+
+        def spy(self, index, values, seed):
+            calls.append(np.array(values))
+            return scalar(self, index, values, seed)
+
+        monkeypatch.setattr(ReedMullerLDC, "local_decode", spy)
+        clean = _line_words(rm, rng, [0, 0, 0])
+        rm.local_decode_many(0, clean, seed=0)
+        assert calls == []  # no dirty rows, no oracle call
+        mixed = _line_words(rm, rng, [0, 2, 1, 9])
+        rm.local_decode_many(0, mixed, seed=0)
+        assert len(calls) == 1 and np.array_equal(calls[0], mixed[1])
+
+        # long inputs decode in blocks, each with its own sentinel row
+        from repro.coding import reed_muller
+
+        calls.clear()
+        monkeypatch.setattr(reed_muller, "_LINE_BLOCK_ROWS", 2)
+        blocked = _line_words(rm, rng, [0, 2, 1, 9, 0, 0, 0])
+        out = rm.local_decode_many(0, blocked, seed=0)
+        assert np.array_equal(out, _scalar_rows(rm, blocked))
+        assert [row.tolist() for row in calls] == \
+            [blocked[1].tolist(), blocked[2].tolist()]
+
+    def test_sentinel_raises_on_injected_disagreement(self, monkeypatch):
+        from repro.coding import reed_muller
+
+        rm = ReedMullerLDC(31, 2, 13)
+        rng = np.random.default_rng(9)
+        values = _line_words(rm, rng, [0, 3, 2])
+        real = reed_muller.correct_syndromes_many
+
+        def wrong_symbol(field, words, *args, **kwargs):
+            patched, ok = real(field, words, *args, **kwargs)
+            patched[:, 0] = (patched[:, 0] + 1) % field.p
+            return patched, ok
+
+        monkeypatch.setattr(reed_muller, "correct_syndromes_many",
+                            wrong_symbol)
+        with pytest.raises(reed_muller.BatchParityError):
+            rm.local_decode_many(0, values, seed=0)
+
+        def spurious_failure(field, words, *args, **kwargs):
+            patched, ok = real(field, words, *args, **kwargs)
+            return patched, np.zeros_like(ok)
+
+        monkeypatch.setattr(reed_muller, "correct_syndromes_many",
+                            spurious_failure)
+        with pytest.raises(reed_muller.BatchParityError):
+            rm.local_decode_many(0, values, seed=0)

@@ -84,6 +84,25 @@ class TestMetrics:
             metrics.enable()
             assert "gone" not in metrics.snapshot()["timers"]
 
+    def test_ldc_local_decode_counters_and_timer(self):
+        from repro.coding.reed_muller import ReedMullerLDC
+
+        rm = ReedMullerLDC(13, 2, 4)
+        rng = np.random.default_rng(3)
+        words = rm.encode_many(rng.integers(0, 13, size=(6, rm.k)))
+        values = words[:, rm.decode_indices(2, seed=5)].copy()
+        values[1, :2] = (values[1, :2] + 1) % 13  # within the radius (3)
+        values[4] = rng.integers(0, 13, size=values.shape[1])  # hopeless
+        with metrics.use():
+            out = rm.local_decode_many(2, values, seed=5)
+            rm.local_decode_many(2, values[[0, 2]], seed=5)  # all clean
+            snap = metrics.snapshot()
+        counters = snap["counters"]
+        assert counters["ldc.rows"] == 8
+        assert counters["ldc.dirty_rows"] == 2
+        assert counters["ldc.failed_rows"] == int((out == -1).sum()) == 1
+        assert snap["timers"]["ldc.local_decode_many"]["count"] == 2
+
 
 class TestTracer:
     def test_meta_is_first_event(self):

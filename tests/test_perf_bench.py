@@ -15,6 +15,7 @@ from repro.perf import (
     write_results,
 )
 from repro.perf.bench import (
+    bench_ldc_local_decode,
     bench_linear_ml_decode,
     bench_plane_staging,
     bench_rs_batch_bm,
@@ -44,6 +45,15 @@ class TestBenchEntries:
         # beyond-radius rows that must flag on both sides
         entry = bench_rs_batch_bm(32, 1)
         assert entry["items"] == 32
+        assert entry["speedup"] > 0
+
+    def test_ldc_local_decode_entry(self):
+        # the parity assert inside the benchmark races the lockstep GF(p)
+        # line decoder against the frozen per-row Berlekamp–Welch loop,
+        # including beyond-radius rows that must come back -1 on both sides
+        entry = bench_ldc_local_decode(48, 1)
+        assert entry["items"] == 48
+        assert entry["unit"] == "lines"
         assert entry["speedup"] > 0
 
     def test_plane_staging_entry(self):

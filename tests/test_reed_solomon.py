@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.interfaces import DecodingFailure
-from repro.coding.reed_solomon import ReedSolomonBinaryCode, ReedSolomonCodec
+from repro.coding.reed_solomon import (
+    ReedSolomonBinaryCode,
+    ReedSolomonCodec,
+    berlekamp_massey_many,
+)
 from repro.fields.gf2m import GF2m
 
 
@@ -111,7 +115,8 @@ class TestBatched:
         synd = codec.syndromes_many(words)
         dirty = np.flatnonzero(synd.any(axis=1))
         assert dirty.size  # the corruption above must leave dirty rows
-        batch_sigmas, batch_lengths = codec._berlekamp_massey_many(synd[dirty])
+        batch_sigmas, batch_lengths = berlekamp_massey_many(codec.field,
+                                                            synd[dirty])
         width = batch_sigmas.shape[1]
         for row in range(dirty.size):
             sigma, length = codec._berlekamp_massey(
