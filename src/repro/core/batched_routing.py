@@ -1,25 +1,40 @@
 """Trial-batched super-message routing over a :class:`BatchedClique`.
 
-The serial :class:`~repro.core.routing.SuperMessageRouter` executes one
-routing instance per trial; a campaign cell runs the *same* routing step in
-every trial, so the two clique rounds of each wave can move all trials at
-once.  Parity strategy:
+A campaign cell runs the *same* routing step in every trial, so the two
+clique rounds of each wave can move all trials at once.  Parity strategy:
+one kernel, three front ends.
 
-* chunking and (batch, block) scheduling reuse the serial router's own
-  ``_split_into_chunks`` / ``_schedule_blocks`` per trial — the schedules
-  are computed by exactly the code a serial run would use, so placements
-  (and hence round structure and payloads) are bit-identical;
-* trials run in lockstep only when every trial's schedule has the same
-  batch count (then every wave has the same plane width in every trial).
-  When schedules diverge — e.g. per-trial random shifts give different
-  target structures with different congestion — :class:`CellUnbatchable`
-  is raised and the caller falls back to per-trial serial execution;
-* within a wave, the staging OR-scatter runs once over the ``(trials, n,
-  n)`` stack (a trial-id column concatenates the per-trial item lists) and
-  ECC encode/decode batch across all trials' rows in one call.
+* :func:`~repro.core.routing.relay_waves` is the only code that stages
+  blocks-mode relay rounds, for the serial router and for every batched
+  entry point alike.  It takes flat chunk rows (trial, batch, block,
+  source, padded payload) plus chunk -> target edges, addresses the
+  ``(trials, n, n)`` stack through flat keys, and batches ECC
+  encode/decode across every trial's rows of a wave.  Serial routing is
+  the same kernel on an ``(n, n)`` network, so placements, staged planes,
+  erasure gating and round labels cannot drift apart.
+* The front ends only differ in how they build the schedule:
 
-Blocks mode only: that is what every protocol under the vmap backend uses;
-cover-free routing stays on the serial path.
+  - :meth:`BatchedRouter.route` — per-trial message lists, each chunked
+    and scheduled by the serial router's own ``_split_into_chunks`` /
+    ``_schedule_blocks`` (the shared
+    :func:`~repro.core.routing.route_message_lists`, which the serial
+    router calls with one trial);
+  - :meth:`BatchedRouter.route_shared` — one prototype message structure
+    for every trial (det-sqrt, det-logn, broadcasts): chunked and
+    scheduled once, its rows tiled over the batch;
+  - :meth:`BatchedRouter.route_grouped` — a shared structure whose single
+    targets and sources are per-trial node ids (the adaptive compiler's
+    concentration and gather, nonadaptive's return step): one
+    message-run greedy (:func:`_grouped_greedy`) per trial,
+    placement-for-placement the serial scheduler's.
+
+* Trials run in lockstep only when every trial's schedule has the same
+  batch count (then every wave has the same plane width in every trial);
+  otherwise :class:`CellUnbatchable` is raised and the caller falls back to
+  per-trial serial execution.
+
+Blocks mode only: cover-free relay sets are not blocks, so cover-free
+routing keeps its own serial executor.
 """
 
 from __future__ import annotations
@@ -31,20 +46,30 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.cliquesim.batched import BatchedClique
-from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
+from repro.core.profiles import ProtocolProfile, SIMULATION
 from repro.core.routing import (
-    MessageKey,
+    CellUnbatchable,
     RoutingResult,
     SuperMessage,
     SuperMessageRouter,
+    relay_waves,
+    route_message_lists,
 )
 from repro.obs import metrics, tracing
 
-
-class CellUnbatchable(Exception):
-    """The trials of this cell cannot run in lockstep (e.g. per-trial
-    routing schedules diverge); the caller should fall back to per-trial
-    serial execution."""
+def _assemble(decoded: np.ndarray, slots: np.ndarray, starts: np.ndarray,
+              sizes: np.ndarray, num_slots: int, width: int) -> np.ndarray:
+    """Scatter chunk rows ``decoded[:, r]`` into bits ``[starts[r],
+    starts[r] + sizes[r])`` of slot ``slots[r]`` of a ``(trials,
+    num_slots, width)`` tensor; rows sharing (start, size) move as one
+    slice write."""
+    out = np.zeros((decoded.shape[0], num_slots, width), dtype=np.uint8)
+    key = starts * (width + 1) + sizes
+    for value in np.unique(key).tolist():
+        start, size = divmod(value, width + 1)
+        sel = np.flatnonzero(key == value)
+        out[:, slots[sel], start:start + size] = decoded[:, sel, :size]
+    return out
 
 
 @dataclass
@@ -67,34 +92,22 @@ class SharedRoutingResult:
     codeword_bits: int
     dropped: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
-    def _assemble(self, rows: np.ndarray, slots: np.ndarray,
-                  num_slots: int) -> np.ndarray:
-        """Scatter chunk rows into a ``(trials, num_slots, L)`` tensor,
-        grouping by (start, size) so reassembly is a few slice writes."""
-        trials = self.decoded.shape[0]
-        out = np.zeros((trials, num_slots, self.bit_length), dtype=np.uint8)
-        for start in np.unique(self.e_start[rows]):
-            sel = rows[self.e_start[rows] == start]
-            size = int(self.e_size[sel[0]])
-            out[:, slots[sel], start:start + size] = \
-                self.decoded[:, sel, :size]
-        return out
-
     def single_target_stack(self, num_messages: int) -> np.ndarray:
         """``(trials, num_messages, L)`` received bits — message ``j``'s
         row is what its (unique) target decoded.  Only valid when every
         message has exactly one target."""
-        rows = np.arange(self.e_message.size)
-        return self._assemble(rows, self.e_message, num_messages)
+        return _assemble(self.decoded, self.e_message, self.e_start,
+                         self.e_size, num_messages, self.bit_length)
 
     def target_stack(self, message: int) -> np.ndarray:
         """``(trials, n_targets, L)`` received bits of one (multi-target)
         message, rows indexed by target node id order."""
         rows = np.flatnonzero(self.e_message == message)
         targets = np.unique(self.e_target[rows])
-        slot_of = {int(t): i for i, t in enumerate(targets)}
-        slots = np.array([slot_of[int(t)] for t in self.e_target[rows]])
-        return self._assemble(rows, slots, targets.size)
+        return _assemble(self.decoded[:, rows],
+                         np.searchsorted(targets, self.e_target[rows]),
+                         self.e_start[rows], self.e_size[rows], targets.size,
+                         self.bit_length)
 
 
 @dataclass
@@ -119,17 +132,9 @@ class GroupedRoutingResult:
         """``(trials, M, Lmax)`` received bits — message ``m``'s row is what
         its (single) target decoded, chunks concatenated in index order
         exactly as the serial reassembly concatenates them."""
-        trials = self.decoded.shape[0]
-        out = np.zeros((trials, self.sizes.size, int(self.sizes.max())),
-                       dtype=np.uint8)
-        # chunks sharing (start, size) scatter as one slice write
-        for start in np.unique(self.chunk_start):
-            sel = np.flatnonzero(self.chunk_start == start)
-            for size in np.unique(self.chunk_size[sel]):
-                sub = sel[self.chunk_size[sel] == size]
-                out[:, self.chunk_msg[sub], start:start + int(size)] = \
-                    self.decoded[:, sub, :int(size)]
-        return out
+        return _assemble(self.decoded, self.chunk_msg, self.chunk_start,
+                         self.chunk_size, self.sizes.size,
+                         int(self.sizes.max()))
 
 
 def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
@@ -324,6 +329,18 @@ def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
     return batch_out, block_out, num_batches
 
 
+def _chunk_payload(bits_stack: np.ndarray, trial: np.ndarray,
+                   msg: np.ndarray, start: np.ndarray, size: np.ndarray,
+                   k: int) -> np.ndarray:
+    """``(rows, k)`` zero-padded payloads: row ``r`` is bits
+    ``[start, start + size)`` of message ``msg[r]`` in trial ``trial[r]``."""
+    arange_k = np.arange(k)
+    valid = arange_k[None, :] < size[:, None]
+    col = np.where(valid, start[:, None] + arange_k[None, :], 0)
+    return np.where(valid, bits_stack[trial[:, None], msg[:, None], col],
+                    0).astype(np.uint8)
+
+
 class BatchedRouter:
     """Executes one routing instance per trial, lockstep over the batch."""
 
@@ -331,6 +348,10 @@ class BatchedRouter:
                  profile: ProtocolProfile = SIMULATION):
         self.net = net
         self.profile = profile
+
+    def _code(self):
+        return self.profile.select_routing_code(self.net.n,
+                                                self.net.adversary.alpha)
 
     def route(self, trials_messages: Sequence[Sequence[SuperMessage]],
               label: str = "routing") -> List[RoutingResult]:
@@ -340,7 +361,13 @@ class BatchedRouter:
                 tracing.maybe_span(f"{label}/route",
                                    messages=sum(map(len, trials_messages)),
                                    trials=len(trials_messages)):
-            return self._route(trials_messages, label)
+            if len(trials_messages) != self.net.trials:
+                raise ValueError(
+                    f"expected {self.net.trials} per-trial message lists, "
+                    f"got {len(trials_messages)}")
+            length, code = self._code()
+            return route_message_lists(self.net, trials_messages, length,
+                                       code, label)
 
     def route_shared(self, messages: Sequence[SuperMessage],
                      bits_stack: np.ndarray,
@@ -351,11 +378,8 @@ class BatchedRouter:
 
         Chunking and scheduling then run **once** instead of per trial —
         the schedule depends only on structure, so it equals the schedule a
-        serial run computes for every trial — and staging, ECC
-        encode/decode and the reassembly gathers are single array programs
-        over the whole batch.  Bit-parity with per-trial serial routing is
-        preserved: same placements, same OR-staging formula, same
-        per-codeword decode.
+        serial run computes for every trial — and the rows tile across the
+        batch into one :func:`~repro.core.routing.relay_waves` call.
         """
         with metrics.timed("routing.route"), \
                 tracing.maybe_span(f"{label}/route",
@@ -372,13 +396,13 @@ class BatchedRouter:
         same bit lengths and slots, but message ``m``'s source and (single)
         target node are per-trial values ``sources[t, m]`` /
         ``targets[t, m]`` (e.g. the adaptive compiler's partition-dependent
-        concentration and gather steps).
+        concentration and gather steps, nonadaptive's shift-dependent
+        return step).
 
         Chunk structure (counts, offsets, sizes) is computed once; each
         trial's greedy schedule runs at message-run granularity
         (:func:`_grouped_greedy`), placement-for-placement identical to the
-        serial scheduler on that trial's key-sorted message list.  Waves
-        execute as single array programs over all trials.  Raises
+        serial scheduler on that trial's key-sorted message list.  Raises
         :class:`CellUnbatchable` when per-trial batch counts diverge."""
         with metrics.timed("routing.route"), \
                 tracing.maybe_span(f"{label}/route",
@@ -410,12 +434,9 @@ class BatchedRouter:
                 f"Lmax); got {bits_stack.shape}")
         if num_messages == 0 or sizes.min() < 1:
             raise ValueError("grouped routing needs non-empty messages")
-        length, code = self.profile.select_routing_code(
-            n, net.adversary.alpha)
-        capacity = max(1, code.k)
+        length, code = self._code()
+        capacity = code.k
         num_blocks = n // length
-        if num_blocks < 1:
-            raise ProfileError("codeword longer than the network")
         if num_blocks > 62:
             raise CellUnbatchable(
                 "grouped scheduler handles at most 62 relay blocks")
@@ -456,114 +477,28 @@ class BatchedRouter:
                 f"per-trial schedules diverge: batch counts "
                 f"{sorted(batch_counts)}")
 
+        # one row (and one edge: single target) per (trial, chunk)
+        tr = np.repeat(np.arange(trials), total_chunks)
+        ch = np.tile(np.arange(total_chunks), trials)
+        msgs = chunk_msg[ch]
         start_rounds = net.rounds_used
-        decoded_all = np.zeros((trials, total_chunks, capacity),
-                               dtype=np.uint8)
-        failed_all = np.zeros((trials, total_chunks), dtype=bool)
-        dropped = np.zeros(trials, dtype=np.int64)
-        bandwidth = net.bandwidth
-        arange_cap = np.arange(capacity)
-        arange_len = np.arange(length)
-        # pad with a zero tail so the final partial chunk of each message can
-        # gather a full capacity-wide window without per-wave index clamping
-        bits_padded = np.concatenate(
-            [bits_stack, np.zeros(bits_stack.shape[:2] + (capacity,),
-                                  dtype=np.uint8)], axis=2)
-        for wave_start in range(0, num_batches, bandwidth):
-            hi = min(wave_start + bandwidth, num_batches)
-            plane_count = hi - wave_start
-            wl = f"{label}/wave{wave_start // bandwidth}"
-            sel = (chunk_batch >= wave_start) & (chunk_batch < hi)
-            tr, ch = np.nonzero(sel)
-            planes = chunk_batch[tr, ch] - wave_start
-            blocks = chunk_block[tr, ch]
-            msgs = chunk_msg[ch]
-            srcs = sources[tr, msgs]
-            tgts = targets[tr, msgs]
-            starts = chunk_start[ch]
-            sz = chunk_size[ch]
-
-            # vectorized payload gather + one batched encode for the wave
-            col = starts[:, None] + arange_cap[None, :]
-            valid = arange_cap[None, :] < sz[:, None]
-            padded = np.where(
-                valid, bits_padded[tr[:, None], msgs[:, None], col], 0)
-            codewords = code.encode_many(padded).astype(np.int64)
-            relay_idx = blocks[:, None] * length + arange_len[None, :]
-
-            # round 1: source -> relay block.  Planes are distinct per
-            # (trial, src, relay) cell — each batch places one block per
-            # source — so OR-merging the shifted codeword bits is a plain
-            # sum, which bincount scatters far faster than ufunc.at
-            # (plane_count <= 62, so the sums are exact in float64)
-            shifted = codewords << planes[:, None]
-            keys1 = (((tr * n + srcs) * n)[:, None] + relay_idx).reshape(-1)
-            if plane_count <= 52:
-                values = np.bincount(
-                    keys1, weights=shifted.reshape(-1),
-                    minlength=trials * n * n).astype(np.int64)\
-                    .reshape(trials, n, n)
-            else:
-                values = np.zeros(trials * n * n, dtype=np.int64)
-                np.bitwise_or.at(values, keys1, shifted.reshape(-1))
-                values = values.reshape(trials, n, n)
-            present = np.zeros(trials * n * n, dtype=bool)
-            present[keys1] = True
-            present = present.reshape(trials, n, n)
-            delivered1 = net.round(np.where(present, values, -1),
-                                   width=plane_count, label=f"{wl}/r1")
-
-            # round 2: relay -> target (single target per chunk)
-            got1 = delivered1[tr[:, None], srcs[:, None], relay_idx]
-            neg1 = got1 < 0
-            if neg1.any():
-                np.add.at(dropped, tr,
-                          np.count_nonzero(neg1, axis=1).astype(np.int64))
-            bits1 = np.where(neg1, 0, (got1 >> planes[:, None]) & 1)
-            shifted1 = bits1 << planes[:, None]
-            keys2 = ((tr[:, None] * n + relay_idx) * n
-                     + tgts[:, None]).reshape(-1)
-            if plane_count <= 52:
-                values2 = np.bincount(
-                    keys2, weights=shifted1.reshape(-1),
-                    minlength=trials * n * n).astype(np.int64)\
-                    .reshape(trials, n, n)
-            else:
-                values2 = np.zeros(trials * n * n, dtype=np.int64)
-                np.bitwise_or.at(values2, keys2, shifted1.reshape(-1))
-                values2 = values2.reshape(trials, n, n)
-            present2 = np.zeros(trials * n * n, dtype=bool)
-            present2[keys2] = True
-            present2 = present2.reshape(trials, n, n)
-            delivered2 = net.round(np.where(present2, values2, -1),
-                                   width=plane_count, label=f"{wl}/r2")
-
-            # decode at every target: one gather + one batched decode
-            got2 = delivered2[tr[:, None], relay_idx, tgts[:, None]]
-            erase2 = got2 < 0
-            any_erased = bool(erase2.any())
-            if any_erased:
-                np.add.at(dropped, tr,
-                          np.count_nonzero(erase2, axis=1).astype(np.int64))
-            bits2 = np.where(erase2, 0,
-                             (got2 >> planes[:, None]) & 1).astype(np.uint8)
-            if any_erased and getattr(code, "supports_erasures", False):
-                decoded, failed = code.decode_many_flagged(bits2,
-                                                           erasures=erase2)
-            else:
-                decoded, failed = code.decode_many_flagged(bits2)
-            decoded_all[tr, ch] = decoded[:, :capacity]
-            failed_all[tr, ch] = np.asarray(failed, dtype=bool)
-
+        decoded, failed, dropped, _ = relay_waves(
+            net, code, length, tr, chunk_batch.reshape(-1),
+            chunk_block.reshape(-1), sources[tr, msgs],
+            _chunk_payload(bits_stack, tr, msgs, chunk_start[ch],
+                           chunk_size[ch], capacity),
+            np.arange(tr.size), targets[tr, msgs], label)
         return GroupedRoutingResult(
-            decoded=decoded_all, failed=failed_all, chunk_msg=chunk_msg,
-            chunk_start=chunk_start, chunk_size=chunk_size, sizes=sizes,
+            decoded=decoded.reshape(trials, total_chunks, capacity),
+            failed=failed.reshape(trials, total_chunks),
+            chunk_msg=chunk_msg, chunk_start=chunk_start,
+            chunk_size=chunk_size, sizes=sizes,
             rounds=net.rounds_used - start_rounds, batches=num_batches,
             codeword_bits=length, dropped=dropped)
 
     def _route_shared(self, messages, bits_stack, label) -> SharedRoutingResult:
         net = self.net
-        n, trials = net.n, net.trials
+        trials = net.trials
         bits_stack = np.ascontiguousarray(bits_stack, dtype=np.uint8)
         if bits_stack.ndim != 3 or bits_stack.shape[:2] != (trials,
                                                             len(messages)):
@@ -574,297 +509,45 @@ class BatchedRouter:
         if any(len(m.bits) != bit_length for m in messages):
             raise ValueError("shared routing needs equal-length messages "
                              "matching bits_stack's last axis")
-        length, code = self.profile.select_routing_code(
-            n, net.adversary.alpha)
-        capacity = max(1, code.k)
+        length, code = self._code()
+        capacity = code.k
 
         # chunk + schedule ONCE from the prototype structure — per-trial
         # serial runs would compute this very schedule in every trial
-        chunks = SuperMessageRouter._split_into_chunks(None, messages,
-                                                       capacity)
-        batches = SuperMessageRouter._schedule_blocks(chunks, n // length)
+        batches = SuperMessageRouter._schedule_blocks(
+            SuperMessageRouter._split_into_chunks(messages, capacity),
+            net.n // length)
         position = {m.key: j for j, m in enumerate(messages)}
-        idx_of = {id(c): i for i, c in enumerate(chunks)}
-        chunk_m = np.array([position[(c.source, c.slot)] for c in chunks],
-                           dtype=np.int64)
-        chunk_start = np.array([c.index * capacity for c in chunks],
-                               dtype=np.int64)
-        chunk_size = np.array([c.bits.size for c in chunks], dtype=np.int64)
+        items = [(b, chunk, block) for b, batch in enumerate(batches)
+                 for chunk, block in batch]
+        proto = np.array([(b, block, chunk.source,
+                           position[chunk.source, chunk.slot],
+                           chunk.index * capacity, chunk.bits.size)
+                          for b, chunk, block in items],
+                         dtype=np.int64).reshape(-1, 6)
+        rows = len(items)
+        e_row = np.repeat(np.arange(rows),
+                          [len(chunk.targets) for _, chunk, _ in items])
+        e_target = np.array([t for _, chunk, _ in items
+                             for t in chunk.targets], dtype=np.int64)
 
+        # the prototype rows and edges, tiled trial-major over the batch
+        tr = np.repeat(np.arange(trials), rows)
+        tiled = np.tile(proto, (trials, 1))
         start_rounds = net.rounds_used
-        dropped = np.zeros(trials, dtype=np.int64)
-        parts: List[Dict[str, np.ndarray]] = []
-        bandwidth = net.bandwidth
-        for wave_start in range(0, len(batches), bandwidth):
-            wave = batches[wave_start:wave_start + bandwidth]
-            part = self._execute_wave_shared(
-                wave, length, code, bits_stack,
-                (idx_of, chunk_m, chunk_start, chunk_size), dropped,
-                f"{label}/wave{wave_start // bandwidth}")
-            if part is not None:
-                parts.append(part)
-
-        if parts:
-            decoded = np.concatenate([p["decoded"] for p in parts], axis=1)
-            failed = np.concatenate([p["failed"] for p in parts], axis=1)
-            e_message = np.concatenate([p["e_message"] for p in parts])
-            e_target = np.concatenate([p["e_target"] for p in parts])
-            e_start = np.concatenate([p["e_start"] for p in parts])
-            e_size = np.concatenate([p["e_size"] for p in parts])
-        else:
-            decoded = np.zeros((trials, 0, capacity), dtype=np.uint8)
-            failed = np.zeros((trials, 0), dtype=bool)
-            e_message = e_target = e_start = e_size = \
-                np.zeros(0, dtype=np.int64)
+        decoded, failed, dropped, _ = relay_waves(
+            net, code, length, tr, tiled[:, 0], tiled[:, 1], tiled[:, 2],
+            _chunk_payload(bits_stack, tr, tiled[:, 3], tiled[:, 4],
+                           tiled[:, 5], capacity),
+            (np.arange(trials)[:, None] * rows + e_row[None, :]).reshape(-1),
+            np.tile(e_target, trials), label)
         return SharedRoutingResult(
-            decoded=decoded, failed=failed, e_message=e_message,
-            e_target=e_target, e_start=e_start, e_size=e_size,
+            decoded=decoded.reshape(trials, e_row.size, capacity),
+            failed=failed.reshape(trials, e_row.size),
+            e_message=proto[e_row, 3], e_target=e_target,
+            e_start=proto[e_row, 4], e_size=proto[e_row, 5],
             bit_length=bit_length, rounds=net.rounds_used - start_rounds,
             batches=len(batches), codeword_bits=length, dropped=dropped)
-
-    def _execute_wave_shared(self, wave, length, code, bits_stack,
-                             chunk_meta, dropped, label):
-        """One shared-structure wave: index arrays are built once from the
-        shared schedule; per-trial payloads ride the leading batch axis."""
-        net = self.net
-        n, trials = net.n, net.trials
-        plane_count = len(wave)
-        all_items = [(plane, chunk, block)
-                     for plane, batch in enumerate(wave)
-                     for chunk, block in batch]
-        if not all_items:
-            return None
-        rows = len(all_items)
-        idx_of, chunk_m, chunk_start, chunk_size = chunk_meta
-        cpos = np.array([idx_of[id(c)] for _, c, _ in all_items],
-                        dtype=np.int64)
-        m_of, start_of, size_of = (chunk_m[cpos], chunk_start[cpos],
-                                   chunk_size[cpos])
-
-        # vectorized chunk gather: (trials, rows, k) payload bits
-        k = code.k
-        col = start_of[:, None] + np.arange(k)[None, :]
-        valid = np.arange(k)[None, :] < size_of[:, None]
-        padded = np.where(valid, bits_stack[:, m_of[:, None],
-                                            np.where(valid, col, 0)],
-                          0).astype(np.uint8)
-        codewords = code.encode_many(
-            padded.reshape(trials * rows, k)).astype(np.int64)
-        codewords = codewords.reshape(trials, rows, length)
-
-        planes = np.array([p for p, _, _ in all_items], dtype=np.int64)
-        sources = np.array([c.source for _, c, _ in all_items],
-                           dtype=np.int64)
-        blocks = np.array([b for _, _, b in all_items], dtype=np.int64)
-        relay_idx = blocks[:, None] * length + np.arange(length)[None, :]
-        t_col = np.arange(trials)[:, None]
-
-        # round 1: source -> relay block
-        values = np.zeros((trials, n, n), dtype=np.int64)
-        present = np.zeros((trials, n, n), dtype=bool)
-        shifted = codewords << planes[None, :, None]
-        src_flat = np.repeat(sources, length)
-        rel_flat = relay_idx.reshape(-1)
-        np.bitwise_or.at(values, (t_col, src_flat[None, :],
-                                  rel_flat[None, :]),
-                         shifted.reshape(trials, -1))
-        present[:, src_flat, rel_flat] = True
-        intended = np.where(present, values, -1)
-        delivered1 = net.round(intended, width=plane_count,
-                               label=f"{label}/r1")
-
-        # round 2: relay -> targets
-        got1 = delivered1[:, sources[:, None], relay_idx]
-        dropped += np.count_nonzero(got1 < 0, axis=(1, 2))
-        bits1 = np.where(got1 < 0, 0, (got1 >> planes[None, :, None]) & 1)
-        target_counts = np.array([len(c.targets)
-                                  for _, c, _ in all_items])
-        expand = np.repeat(np.arange(rows), target_counts)
-        targets = np.array([t for _, c, _ in all_items
-                            for t in c.targets], dtype=np.int64)
-
-        values2 = np.zeros((trials, n, n), dtype=np.int64)
-        present2 = np.zeros((trials, n, n), dtype=bool)
-        shifted1 = bits1 << planes[None, :, None]
-        rel2_flat = relay_idx[expand].reshape(-1)
-        tgt2_flat = np.repeat(targets, length)
-        np.bitwise_or.at(values2, (t_col, rel2_flat[None, :],
-                                   tgt2_flat[None, :]),
-                         shifted1[:, expand, :].reshape(trials, -1))
-        present2[:, rel2_flat, tgt2_flat] = True
-        intended2 = np.where(present2, values2, -1)
-        delivered2 = net.round(intended2, width=plane_count,
-                               label=f"{label}/r2")
-
-        # decode at every target: one gather + one batched decode for all
-        # trials' rows in the wave
-        got2 = delivered2[:, relay_idx[expand], targets[:, None]]
-        dropped += np.count_nonzero(got2 < 0, axis=(1, 2))
-        expanded_planes = planes[expand]
-        bits2 = np.where(got2 < 0, 0,
-                         (got2 >> expanded_planes[None, :, None]) & 1
-                         ).astype(np.uint8)
-        # thread round-2 drops into erasure-aware codes (mirrors the serial
-        # router's gating so drop-free runs stay on the exact legacy path)
-        erase2 = got2 < 0
-        if erase2.any() and getattr(code, "supports_erasures", False):
-            decoded, failed = code.decode_many_flagged(
-                bits2.reshape(trials * expand.size, length),
-                erasures=erase2.reshape(trials * expand.size, length))
-        else:
-            decoded, failed = code.decode_many_flagged(
-                bits2.reshape(trials * expand.size, length))
-        return {
-            "decoded": decoded.reshape(trials, expand.size, -1),
-            "failed": np.asarray(failed, dtype=bool).reshape(trials,
-                                                             expand.size),
-            "e_message": m_of[expand],
-            "e_target": targets,
-            "e_start": start_of[expand],
-            "e_size": size_of[expand],
-        }
-
-    def _route(self, trials_messages, label) -> List[RoutingResult]:
-        net = self.net
-        n, trials = net.n, net.trials
-        if len(trials_messages) != trials:
-            raise ValueError(
-                f"expected {trials} per-trial message lists, "
-                f"got {len(trials_messages)}")
-        length, code = self.profile.select_routing_code(
-            n, net.adversary.alpha)
-        capacity = max(1, code.k)
-
-        # chunk + schedule each trial with the serial router's own code
-        # (``_split_into_chunks`` never touches ``self``), so placements
-        # match a serial run exactly
-        trial_chunks = [
-            SuperMessageRouter._split_into_chunks(None, msgs, capacity)
-            for msgs in trials_messages]
-        trial_batches = [
-            SuperMessageRouter._schedule_blocks(chunks, n // length)
-            for chunks in trial_chunks]
-        batch_counts = {len(b) for b in trial_batches}
-        if len(batch_counts) > 1:
-            raise CellUnbatchable(
-                f"per-trial schedules diverge: batch counts "
-                f"{sorted(len(b) for b in trial_batches)}")
-        num_batches = batch_counts.pop()
-
-        start_rounds = net.rounds_used
-        raw = [defaultdict(lambda: defaultdict(dict)) for _ in range(trials)]
-        failures: List[List] = [[] for _ in range(trials)]
-        dropped = np.zeros(trials, dtype=np.int64)
-        bandwidth = net.bandwidth
-        for wave_start in range(0, num_batches, bandwidth):
-            waves = [batches[wave_start:wave_start + bandwidth]
-                     for batches in trial_batches]
-            self._execute_wave(waves, length, code, raw, failures, dropped,
-                               f"{label}/wave{wave_start // bandwidth}")
-
-        results = []
-        for t in range(trials):
-            outputs = SuperMessageRouter._reassemble(trials_messages[t],
-                                                     raw[t])
-            results.append(RoutingResult(
-                outputs=outputs,
-                rounds=net.rounds_used - start_rounds,
-                decode_failures=failures[t],
-                batches=num_batches,
-                codeword_bits=length,
-                dropped_entries=int(dropped[t])))
-        return results
-
-    def _execute_wave(self, waves, length, code, raw, failures, dropped,
-                      label):
-        """One wave for every trial: two lockstep rounds of width
-        ``len(wave)`` (equal across trials by the batch-count check)."""
-        net = self.net
-        n, trials = net.n, net.trials
-        plane_count = len(waves[0])
-        # concatenate the per-trial item lists with a trial-id column
-        all_items = [(t, plane, chunk, block)
-                     for t, wave in enumerate(waves)
-                     for plane, batch in enumerate(wave)
-                     for chunk, block in batch]
-        if not all_items:
-            return
-        rows = len(all_items)
-        padded = np.zeros((rows, code.k), dtype=np.uint8)
-        for row, (_, _, chunk, _) in enumerate(all_items):
-            padded[row, :chunk.bits.size] = chunk.bits
-        # one batched encode for every chunk of every trial in the wave
-        codewords = code.encode_many(padded).astype(np.int64)
-
-        trial_ids = np.array([t for t, _, _, _ in all_items], dtype=np.int64)
-        planes = np.array([p for _, p, _, _ in all_items], dtype=np.int64)
-        sources = np.array([c.source for _, _, c, _ in all_items],
-                           dtype=np.int64)
-        blocks = np.array([b for _, _, _, b in all_items], dtype=np.int64)
-        relay_idx = blocks[:, None] * length + np.arange(length)[None, :]
-
-        # round 1: source -> relay block, one OR-scatter over the whole
-        # (trials, n, n) stack
-        values = np.zeros((trials, n, n), dtype=np.int64)
-        present = np.zeros((trials, n, n), dtype=bool)
-        shifted = codewords << planes[:, None]
-        tr_flat = np.repeat(trial_ids, length)
-        src_flat = np.repeat(sources, length)
-        rel_flat = relay_idx.reshape(-1)
-        np.bitwise_or.at(values, (tr_flat, src_flat, rel_flat),
-                         shifted.reshape(-1))
-        present[tr_flat, src_flat, rel_flat] = True
-        intended = np.where(present, values, -1)
-        delivered1 = net.round(intended, width=plane_count,
-                               label=f"{label}/r1")
-
-        # round 2: relay -> targets, expanded one row per (chunk, target)
-        got1 = delivered1[trial_ids[:, None], sources[:, None], relay_idx]
-        np.add.at(dropped, trial_ids,
-                  np.count_nonzero(got1 < 0, axis=1).astype(np.int64))
-        bits1 = np.where(got1 < 0, 0, (got1 >> planes[:, None]) & 1)
-        target_counts = np.array([len(c.targets)
-                                  for _, _, c, _ in all_items])
-        expand = np.repeat(np.arange(rows), target_counts)
-        targets = np.array([t for _, _, c, _ in all_items
-                            for t in c.targets], dtype=np.int64)
-
-        values2 = np.zeros((trials, n, n), dtype=np.int64)
-        present2 = np.zeros((trials, n, n), dtype=bool)
-        shifted1 = bits1 << planes[:, None]
-        expanded_planes = planes[expand]
-        expanded_trials = trial_ids[expand]
-        tr2_flat = np.repeat(expanded_trials, length)
-        rel2_flat = relay_idx[expand].reshape(-1)
-        tgt2_flat = np.repeat(targets, length)
-        np.bitwise_or.at(values2, (tr2_flat, rel2_flat, tgt2_flat),
-                         shifted1[expand].reshape(-1))
-        present2[tr2_flat, rel2_flat, tgt2_flat] = True
-        intended2 = np.where(present2, values2, -1)
-        delivered2 = net.round(intended2, width=plane_count,
-                               label=f"{label}/r2")
-
-        # decode at every target: one gather + one batched decode for all
-        # trials' rows in the wave
-        got2 = delivered2[expanded_trials[:, None], relay_idx[expand],
-                          targets[:, None]]
-        np.add.at(dropped, expanded_trials,
-                  np.count_nonzero(got2 < 0, axis=1).astype(np.int64))
-        bits2 = np.where(got2 < 0, 0,
-                         (got2 >> expanded_planes[:, None]) & 1
-                         ).astype(np.uint8)
-        erase2 = got2 < 0
-        if erase2.any() and getattr(code, "supports_erasures", False):
-            decoded, failed = code.decode_many_flagged(bits2, erasures=erase2)
-        else:
-            decoded, failed = code.decode_many_flagged(bits2)
-        for e in range(expand.size):
-            trial, _, chunk, _ = all_items[expand[e]]
-            tgt = int(targets[e])
-            raw[trial][tgt][(chunk.source, chunk.slot)][chunk.index] = \
-                decoded[e][:chunk.bits.size]
-            if failed[e]:
-                failures[trial].append((tgt, (chunk.source, chunk.slot)))
 
 
 def broadcast_many(router: BatchedRouter, source: int,

@@ -29,13 +29,15 @@ Relay-set assignment supports two modes:
 Batches execute in *waves* of ``B`` (the bandwidth): B independent 1-bit
 instances ride in the B bit-planes of a single round, which is exactly the
 parallel-composition argument of Lemma 2.9 / the proof of Theorem 4.1.
+Blocks-mode waves of every router, serial and trial-batched, run through
+the one kernel :func:`relay_waves`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -131,24 +133,19 @@ class SuperMessageRouter:
                label: str) -> RoutingResult:
         net = self.net
         n = net.n
-        alpha = net.adversary.alpha
-        length, code = self.profile.select_routing_code(n, alpha)
-        if self.mode == "coverfree":
-            # cover-freeness needs group size >> k/delta, so the relay sets
-            # stay small relative to n; low-rate codes absorb the overlap
-            length = max(8, n // 16)
-            code = self.profile.routing_code_at_rate(
-                length, min(self.profile.code_rate, 1.0 / 8))
-        capacity = max(1, code.k)
-
-        chunks = self._split_into_chunks(messages, capacity)
-        start_rounds = net.rounds_used
+        length, code = self.profile.select_routing_code(n,
+                                                        net.adversary.alpha)
         if self.mode == "blocks":
-            batches = self._schedule_blocks(chunks, n // length)
-            executor = self._execute_wave_blocks
-        else:
-            batches = self._schedule_capacity(chunks, self.coverfree_k)
-            executor = self._execute_wave_coverfree
+            return route_message_lists(net, [messages], length, code,
+                                       label)[0]
+        # cover-freeness needs group size >> k/delta, so the relay sets
+        # stay small relative to n; low-rate codes absorb the overlap
+        length = max(8, n // 16)
+        code = self.profile.routing_code_at_rate(
+            length, min(self.profile.code_rate, 1.0 / 8))
+        chunks = self._split_into_chunks(messages, max(1, code.k))
+        start_rounds = net.rounds_used
+        batches = self._schedule_capacity(chunks, self.coverfree_k)
 
         raw: Dict[int, Dict[MessageKey, Dict[int, np.ndarray]]] = \
             defaultdict(lambda: defaultdict(dict))
@@ -157,8 +154,9 @@ class SuperMessageRouter:
         bandwidth = net.bandwidth
         for wave_start in range(0, len(batches), bandwidth):
             wave = batches[wave_start:wave_start + bandwidth]
-            executor(wave, length, code, raw, failures, stats,
-                     f"{label}/wave{wave_start // bandwidth}")
+            self._execute_wave_coverfree(
+                wave, length, code, raw, failures, stats,
+                f"{label}/wave{wave_start // bandwidth}")
 
         outputs = self._reassemble(messages, raw)
         return RoutingResult(outputs=outputs,
@@ -170,7 +168,8 @@ class SuperMessageRouter:
                              erased_entries=stats["erased"])
 
     # -- chunking ---------------------------------------------------------------
-    def _split_into_chunks(self, messages: Sequence[SuperMessage],
+    @staticmethod
+    def _split_into_chunks(messages: Sequence[SuperMessage],
                            capacity: int) -> List[_Chunk]:
         seen = set()
         chunks: List[_Chunk] = []
@@ -352,92 +351,6 @@ class SuperMessageRouter:
                     tgt_count[-1][t] = 1
         return batches
 
-    # -- execution: blocks mode ---------------------------------------------------
-    def _execute_wave_blocks(self, wave, length, code, raw, failures, stats,
-                             label):
-        net = self.net
-        n = net.n
-        plane_count = len(wave)
-        # encode every chunk in the wave in one batch call
-        all_items = [(plane, chunk, block)
-                     for plane, batch in enumerate(wave)
-                     for chunk, block in batch]
-        if not all_items:
-            return
-        rows = len(all_items)
-        padded = np.zeros((rows, code.k), dtype=np.uint8)
-        for row, (_, chunk, _) in enumerate(all_items):
-            padded[row, :chunk.bits.size] = chunk.bits
-        codewords = code.encode_many(padded).astype(np.int64)
-
-        planes = np.array([p for p, _, _ in all_items], dtype=np.int64)
-        sources = np.array([c.source for _, c, _ in all_items],
-                           dtype=np.int64)
-        blocks = np.array([b for _, _, b in all_items], dtype=np.int64)
-        # relay ids of every chunk, one row per chunk
-        relay_idx = blocks[:, None] * length + np.arange(length)[None, :]
-
-        # round 1: source -> relay block.  All planes of the wave stage into
-        # the word plane with a single OR-scatter: same-(source, relay)
-        # collisions only happen across planes, which OR resolves exactly
-        # (the schedule keeps each plane collision-free on its own bit).
-        values = np.zeros((n, n), dtype=np.int64)
-        present = np.zeros((n, n), dtype=bool)
-        shifted = codewords << planes[:, None]
-        src_flat = np.repeat(sources, length)
-        rel_flat = relay_idx.reshape(-1)
-        np.bitwise_or.at(values, (src_flat, rel_flat), shifted.reshape(-1))
-        present[src_flat, rel_flat] = True
-        intended = np.where(present, values, -1)
-        delivered1 = net.round(intended, width=plane_count,
-                               label=f"{label}/r1")
-
-        # round 2: relay -> targets.  Expand one row per (chunk, target) and
-        # stage with the same single OR-scatter.
-        got1 = delivered1[sources[:, None], relay_idx]
-        stats["dropped"] += int(np.count_nonzero(got1 < 0))
-        bits1 = np.where(got1 < 0, 0, (got1 >> planes[:, None]) & 1)
-        target_counts = np.array([len(c.targets) for _, c, _ in all_items])
-        expand = np.repeat(np.arange(rows), target_counts)
-        targets = np.array([t for _, c, _ in all_items for t in c.targets],
-                           dtype=np.int64)
-
-        values2 = np.zeros((n, n), dtype=np.int64)
-        present2 = np.zeros((n, n), dtype=bool)
-        shifted1 = bits1 << planes[:, None]
-        expanded_planes = planes[expand]
-        rel2_flat = relay_idx[expand].reshape(-1)
-        tgt2_flat = np.repeat(targets, length)
-        np.bitwise_or.at(values2, (rel2_flat, tgt2_flat),
-                         shifted1[expand].reshape(-1))
-        present2[rel2_flat, tgt2_flat] = True
-        intended2 = np.where(present2, values2, -1)
-        delivered2 = net.round(intended2, width=plane_count,
-                               label=f"{label}/r2")
-
-        # decode at every target: one gather + one batch decode for the wave
-        got2 = delivered2[relay_idx[expand], targets[:, None]]
-        stats["dropped"] += int(np.count_nonzero(got2 < 0))
-        bits2 = np.where(got2 < 0, 0,
-                         (got2 >> expanded_planes[:, None]) & 1
-                         ).astype(np.uint8)
-        # round-2 drops are receiver-known erasures; thread them into
-        # erasure-aware codes for the doubled pure-drop radius (gated so
-        # drop-free runs take the exact pre-existing decode path)
-        erase2 = got2 < 0
-        if erase2.any() and getattr(code, "supports_erasures", False):
-            stats["erased"] += int(erase2.sum())
-            decoded, failed = code.decode_many_flagged(bits2, erasures=erase2)
-        else:
-            decoded, failed = code.decode_many_flagged(bits2)
-        for e in range(expand.size):
-            _, chunk, _ = all_items[expand[e]]
-            t = int(targets[e])
-            raw[t][(chunk.source, chunk.slot)][chunk.index] = \
-                decoded[e][:chunk.bits.size]
-            if failed[e]:
-                failures.append((t, (chunk.source, chunk.slot)))
-
     # -- execution: cover-free mode -------------------------------------------------
     def _execute_wave_coverfree(self, wave, length, code, raw, failures,
                                 stats, label):
@@ -560,6 +473,188 @@ class SuperMessageRouter:
                     combined = np.zeros(len(msg.bits), dtype=np.uint8)
                 outputs[t][msg.key] = combined
         return dict(outputs)
+
+
+class CellUnbatchable(Exception):
+    """The trials of this cell cannot run in lockstep (e.g. per-trial
+    routing schedules diverge); the caller should fall back to per-trial
+    serial execution."""
+
+
+def _stage(keys: np.ndarray, values: np.ndarray, cells: int,
+           width: int) -> np.ndarray:
+    """Flat intended plane: OR of ``values`` at ``keys``, -1 where nothing
+    is sent.  The schedule puts at most one chunk in each (cell, plane), so
+    the OR is a plain sum, which bincount scatters far faster than
+    ``bitwise_or.at`` — exactly while the sums fit float64's 52-bit
+    mantissa; wider waves take the exact OR-scatter."""
+    keys = keys.reshape(-1)
+    values = values.reshape(-1)
+    if width <= 52:
+        plane = np.bincount(keys, weights=values,
+                            minlength=cells).astype(np.int64)
+    else:
+        plane = np.zeros(cells, dtype=np.int64)
+        np.bitwise_or.at(plane, keys, values)
+    present = np.zeros(cells, dtype=bool)
+    present[keys] = True
+    return np.where(present, plane, -1)
+
+
+def relay_waves(net, code, length: int, trial: np.ndarray,
+                batch: np.ndarray, block: np.ndarray, source: np.ndarray,
+                payload: np.ndarray, edge_row: np.ndarray,
+                edge_target: np.ndarray, label: str):
+    """Run a blocks-mode schedule: the one relay kernel of every router.
+
+    Input is one flat row per scheduled chunk — its trial, batch, relay
+    block, source node and ``code.k``-bit zero-padded payload — plus the
+    chunk -> target edges (``edge_row[e]`` is the chunk row edge ``e``
+    delivers to node ``edge_target[e]``).  Batches ride in waves of
+    ``net.bandwidth`` planes; each wave is two rounds
+    (``{label}/wave{k}/r1`` source -> relay block, ``r2`` relay ->
+    targets) over the network's own shape — ``(n, n)`` on a
+    :class:`~repro.cliquesim.network.CongestedClique`, ``(trials, n, n)``
+    on a :class:`~repro.cliquesim.batched.BatchedClique` — addressed
+    through flat ``(trial, row, column)`` keys.  Round-2 drops are declared
+    erasures to erasure-aware codes whenever the wave has any (drop-free
+    waves take the exact errors-only decode).
+
+    Returns ``(decoded, failed, dropped, erased)``: ``(E, k)`` decoded
+    bits and ``(E,)`` failure flags per edge, and per-trial counts of
+    dropped relay bits and of erasures handed to the decoder.
+    """
+    n = net.n
+    trials = getattr(net, "trials", None)
+    shape = (n, n) if trials is None else (trials, n, n)
+    num_trials = trials or 1
+    cells = num_trials * n * n
+    k = code.k
+    decoded = np.zeros((edge_row.size, k), dtype=np.uint8)
+    failed = np.zeros(edge_row.size, dtype=bool)
+    dropped = np.zeros(num_trials, dtype=np.int64)
+    erased = np.zeros(num_trials, dtype=np.int64)
+    erasure_aware = getattr(code, "supports_erasures", False)
+    bandwidth = net.bandwidth
+    num_batches = int(batch.max(initial=-1)) + 1
+    starts = np.arange(0, num_batches + bandwidth, bandwidth)
+    # waves are contiguous slices of the batch-sorted rows and edges
+    row_order = np.argsort(batch, kind="stable")
+    row_cut = np.searchsorted(batch[row_order], starts)
+    row_pos = np.empty_like(row_order)
+    row_pos[row_order] = np.arange(row_order.size)
+    edge_batch = batch[edge_row]
+    edge_order = np.argsort(edge_batch, kind="stable")
+    edge_cut = np.searchsorted(edge_batch[edge_order], starts)
+    arange_len = np.arange(length)
+
+    def per_trial(ids, lost):
+        return np.bincount(ids, weights=np.count_nonzero(lost, axis=1),
+                           minlength=num_trials).astype(np.int64)
+
+    for wave, wave_start in enumerate(starts[:-1].tolist()):
+        width = min(bandwidth, num_batches - wave_start)
+        wl = f"{label}/wave{wave}"
+        rows = row_order[row_cut[wave]:row_cut[wave + 1]]
+        edges = edge_order[edge_cut[wave]:edge_cut[wave + 1]]
+        tr = trial[rows]
+        planes = (batch[rows] - wave_start)[:, None]
+        relay = block[rows][:, None] * length + arange_len[None, :]
+
+        # round 1: source -> relay block
+        codewords = code.encode_many(payload[rows]).astype(np.int64)
+        keys1 = ((tr * n + source[rows]) * n)[:, None] + relay
+        delivered1 = net.round(
+            _stage(keys1, codewords << planes, cells, width).reshape(shape),
+            width=width, label=f"{wl}/r1")
+        got1 = delivered1.reshape(-1)[keys1]
+        lost1 = got1 < 0
+        dropped += per_trial(tr, lost1)
+        bits1 = np.where(lost1, 0, (got1 >> planes) & 1)
+
+        # round 2: relay -> targets, one row per (chunk, target) edge
+        local = row_pos[edge_row[edges]] - row_cut[wave]
+        etr = tr[local]
+        eplanes = planes[local]
+        keys2 = (etr[:, None] * n + relay[local]) * n \
+            + edge_target[edges][:, None]
+        delivered2 = net.round(
+            _stage(keys2, bits1[local] << eplanes, cells,
+                   width).reshape(shape),
+            width=width, label=f"{wl}/r2")
+
+        # decode at every target: one gather + one batched decode
+        got2 = delivered2.reshape(-1)[keys2]
+        erase2 = got2 < 0
+        bits2 = np.where(erase2, 0, (got2 >> eplanes) & 1).astype(np.uint8)
+        any_erased = bool(erase2.any())
+        if any_erased:
+            lost2 = per_trial(etr, erase2)
+            dropped += lost2
+        if any_erased and erasure_aware:
+            erased += lost2
+            out, bad = code.decode_many_flagged(bits2, erasures=erase2)
+        else:
+            out, bad = code.decode_many_flagged(bits2)
+        decoded[edges] = out[:, :k]
+        failed[edges] = bad
+    return decoded, failed, dropped, erased
+
+
+def route_message_lists(net, trials_messages: Sequence[Sequence[SuperMessage]],
+                        length: int, code, label: str) -> List[RoutingResult]:
+    """Message-list front end of :func:`relay_waves`: route trial ``t``'s
+    ``trials_messages[t]`` for every trial of ``net`` (one list on a
+    serial clique).  Each trial is chunked and greedily block-scheduled on
+    its own; trials run in lockstep only when their batch counts agree,
+    otherwise :class:`CellUnbatchable` is raised."""
+    trial_batches = [
+        SuperMessageRouter._schedule_blocks(
+            SuperMessageRouter._split_into_chunks(messages, code.k),
+            net.n // length)
+        for messages in trials_messages]
+    num_batches = len(trial_batches[0])
+    if any(len(batches) != num_batches for batches in trial_batches):
+        raise CellUnbatchable(
+            f"per-trial schedules diverge: batch counts "
+            f"{sorted(len(b) for b in trial_batches)}")
+
+    # one row per scheduled chunk, trial-major then schedule order
+    items = [(t, b, chunk, block)
+             for t, batches in enumerate(trial_batches)
+             for b, batch in enumerate(batches)
+             for chunk, block in batch]
+    payload = np.zeros((len(items), code.k), dtype=np.uint8)
+    for row, item in enumerate(items):
+        payload[row, :item[2].bits.size] = item[2].bits
+    columns = np.array([(t, b, block, chunk.source)
+                        for t, b, chunk, block in items],
+                       dtype=np.int64).reshape(-1, 4)
+    edge_row = np.repeat(np.arange(len(items)),
+                         [len(item[2].targets) for item in items])
+    edge_target = np.array([target for item in items
+                            for target in item[2].targets], dtype=np.int64)
+    start_rounds = net.rounds_used
+    decoded, failed, dropped, erased = relay_waves(
+        net, code, length, columns[:, 0], columns[:, 1], columns[:, 2],
+        columns[:, 3], payload, edge_row, edge_target, label)
+
+    raw = [defaultdict(lambda: defaultdict(dict)) for _ in trials_messages]
+    failures: List[List[Tuple[int, MessageKey]]] = [[] for _ in raw]
+    for e, (row, target) in enumerate(zip(edge_row.tolist(),
+                                          edge_target.tolist())):
+        t, _, chunk, _ = items[row]
+        raw[t][target][chunk.source, chunk.slot][chunk.index] = \
+            decoded[e, :chunk.bits.size]
+        if failed[e]:
+            failures[t].append((target, (chunk.source, chunk.slot)))
+    rounds = net.rounds_used - start_rounds
+    return [RoutingResult(
+        outputs=SuperMessageRouter._reassemble(messages, raw[t]),
+        rounds=rounds, decode_failures=failures[t], batches=num_batches,
+        codeword_bits=length, dropped_entries=int(dropped[t]),
+        erased_entries=int(erased[t]))
+        for t, messages in enumerate(trials_messages)]
 
 
 def broadcast(router: SuperMessageRouter, source: int, bits,

@@ -12,12 +12,12 @@ serial control flow with a leading batch axis:
 * per-trial *randomness* is derived from each trial's own seed exactly as
   the serial protocol derives it (nonadaptive's shift vectors), so batched
   outputs are bit-identical to serial ones;
-* when per-trial randomness changes the routing *structure* itself
-  (nonadaptive's return step targets depend on the shifts), schedules are
-  still computed per trial — at message-run granularity through
-  :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped` when the
-  message counts and bit lengths are shared, or with the serial scheduler
-  otherwise; if batch counts diverge the router raises
+* when per-trial randomness changes the routing *targets* (nonadaptive's
+  return step targets depend on the shifts) while message counts and bit
+  lengths stay shared, schedules are computed per trial at message-run
+  granularity through
+  :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped`; if
+  batch counts diverge the router raises
   :class:`~repro.core.batched_routing.CellUnbatchable` and the caller
   falls back to per-trial serial execution;
 * the adaptive compiler batches natively
@@ -241,10 +241,15 @@ class BatchedNonAdaptiveAllToAll:
     """Batched :class:`~repro.core.nonadaptive.NonAdaptiveAllToAll`.
 
     Steps 0/1 batch cleanly (per-trial shift vectors are data, not
-    structure).  The step-2 return routing targets *depend* on each trial's
-    shifts, so its schedules are computed per trial; when their batch
-    counts diverge the route raises ``CellUnbatchable`` and the caller
-    falls back to serial per-trial execution.
+    structure).  The step-2 return routing keeps one message structure —
+    ``B * n`` messages of ``n`` bits, message ``i*n + w`` from relay ``w``
+    in slot ``i`` — while its targets ``(w - r_i) mod n`` depend on each
+    trial's shifts, so it rides
+    :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped`: one
+    message-run greedy schedule per trial, one relay-wave program for the
+    whole batch.  If the per-trial batch counts diverge the route raises
+    ``CellUnbatchable`` and the caller falls back to serial per-trial
+    execution, marking the rows.
     """
 
     name = "nonadaptive"
@@ -289,31 +294,28 @@ class BatchedNonAdaptiveAllToAll:
         delivered = net.exchange(payload, width=B, label="nonadaptive/spread")
 
         # -- Step 2: B routing instances bring the bit-columns home -----------
+        # message m = i*n + w is relay w's column of bit-plane i, sent back to
+        # its owner (w - r_i) mod n: the message structure is shared, only
+        # the targets depend on each trial's shifts — the grouped case
         clean = np.where(delivered < 0, 0, delivered)
         bit_planes = unpack_bits(clean.astype(np.uint64)[..., None], B)
-        trials_messages = []
-        for t in range(trials):
-            msgs = []
-            for i in range(B):
-                r = int(shifts[t, i])
-                for w in range(n):
-                    owner = (w - r) % n
-                    msgs.append(SuperMessage.make(w, i,
-                                                  bit_planes[t, :, w, i],
-                                                  [owner]))
-            trials_messages.append(msgs)
-        results = router.route(trials_messages, label="nonadaptive/return")
+        relays = np.arange(n)
+        routed = router.route_grouped(
+            np.broadcast_to(np.tile(relays, B), (trials, B * n)),
+            np.repeat(np.arange(B), n), np.full(B * n, n, dtype=np.int64),
+            ((relays[None, None, :] - shifts[:, :, None]) % n)
+            .reshape(trials, B * n),
+            bit_planes.transpose(0, 3, 2, 1).reshape(trials, B * n, n),
+            label="nonadaptive/return")
 
         # -- Step 3: reassemble and decode ------------------------------------
-        words = np.empty((trials, n, n, B), dtype=np.uint8)
-        owners = np.arange(n)
-        for t in range(trials):
-            out = results[t].outputs
-            for i in range(B):
-                relay_of = (owners + int(shifts[t, i])) % n
-                gathered = np.stack([out[v][(int(relay_of[v]), i)]
-                                     for v in range(n)])
-                words[t, :, :, i] = gathered.T
+        # owner v reads slot i from relay w = (v + r_i) mod n
+        got = routed.message_bits()
+        relay_of = (relays[None, None, :] + shifts[:, :, None]) % n
+        columns = got[np.arange(trials)[:, None, None],
+                      np.arange(B)[None, :, None] * n + relay_of]
+        # columns[t, i, v, u] -> words[t, u, v, i]
+        words = np.ascontiguousarray(columns.transpose(0, 3, 2, 1))
         decoded, _ = code.decode_many_flagged(words.reshape(trials * n * n, B))
         weights = (np.int64(1) << np.arange(width, dtype=np.int64))
         beliefs = (decoded.astype(np.int64) * weights[None, :]).sum(axis=1)

@@ -19,9 +19,16 @@ batching is impossible or unprofitable:
   nonadaptive's shift-dependent return step at unlucky seeds);
 * per-trial metrics snapshots were requested (``REPRO_OBS_METRICS=1``) —
   a batched run cannot scope counters to one trial;
-* the cell is a singleton, or anything at all goes wrong mid-batch
-  (including ``ProfileError`` configurations) — serial re-execution then
-  reproduces the exact serial ``unsupported``/``error`` rows.
+* the cell is a singleton, or anything at all goes wrong mid-batch —
+  serial re-execution then reproduces the exact serial ``unsupported``/
+  ``error`` rows.
+
+Every degraded row says so: a whole-cell fallback (a ``CellUnbatchable``
+or any other mid-batch exception, or a byte budget one trial already
+fills) stamps each row with ``fallback: <reason>``.  A ``ProfileError``
+is not a degradation but the paper's out-of-regime verdict, so its serial
+``unsupported`` rows stay unmarked, exactly as the serial backend writes
+them.
 
 One exception is finer-grained: when a *wrapped per-trial adversary*
 crashes inside a :class:`~repro.adversary.PerTrialAdversaryBatch`
@@ -134,6 +141,12 @@ def _rows_serial(trials: Sequence[TrialSpec], policy=None) -> List[Dict]:
     return [execute_trial_resilient(t.to_dict(), policy) for t in trials]
 
 
+def _mark_fallback(rows: List[Dict], reason: str) -> List[Dict]:
+    for row in rows:
+        row["fallback"] = reason
+    return rows
+
+
 def _rows_per_trial_failure(trials: Sequence[TrialSpec], failure,
                             policy=None) -> List[Dict]:
     """Degrade exactly the failing trial to serial and keep batching the
@@ -159,6 +172,7 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     obstacle downgrades the whole chunk."""
     from repro.adversary import PerTrialFailure
     from repro.core.messages import AllToAllInstance
+    from repro.core.profiles import ProfileError
     from repro.core.vmapped import (BATCHED_PROTOCOLS, make_batched_protocol,
                                     run_protocol_many)
     from repro.experiments.runner import STATUS_OK
@@ -189,7 +203,8 @@ def run_cell_batched(trials: Sequence[TrialSpec],
         # one trial's planes already saturate the byte budget: batching a
         # pair would double peak memory, so run the cell serially (same
         # rows — serial is the parity reference)
-        return _rows_serial(trials, policy)
+        return _mark_fallback(_rows_serial(trials, policy),
+                              "byte budget: one trial's planes fill it")
     if len(trials) > limit:
         return [row
                 for start in range(0, len(trials), limit)
@@ -217,8 +232,13 @@ def run_cell_batched(trials: Sequence[TrialSpec],
                 seeds=[t.protocol_seed for t in trials])
     except PerTrialFailure as failure:
         return _rows_per_trial_failure(trials, failure, policy)
-    except Exception:  # noqa: BLE001 — fall back, never guess at parity
+    except ProfileError:
+        # the paper's out-of-regime verdict, not a degradation: serial
+        # re-execution writes the exact serial ``unsupported`` rows
         return _rows_serial(trials, policy)
+    except Exception as exc:  # noqa: BLE001 — fall back, never guess at parity
+        return _mark_fallback(_rows_serial(trials, policy),
+                              f"whole-cell batch failure: {exc!r}")
     # amortised wall time: the cell ran once for all of its trials
     wall = round((time.perf_counter() - start) / len(trials), 6)
     stamp = round(time.time(), 6)

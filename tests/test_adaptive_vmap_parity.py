@@ -19,11 +19,11 @@ from repro.sketch import ksparse
 WALL_CLOCK_FIELDS = ("wall_seconds", "recorded_unix")
 
 
-def digest(result):
+def digest(result, ignore=WALL_CLOCK_FIELDS):
     rows = []
     for row in result.rows():
         row = dict(row)
-        for field in WALL_CLOCK_FIELDS:
+        for field in ignore:
             row.pop(field, None)
         rows.append(row)
     return json.dumps(rows, sort_keys=True)
@@ -99,8 +99,9 @@ class TestAdaptiveVmapParity:
 
     def test_recovery_blowup_falls_back_per_trial(self, monkeypatch):
         # a sketch-recovery failure that *escapes* the lockstep handling
-        # must degrade the cell to per-trial serial execution with the
-        # exact serial rows — never crash the batch
+        # must degrade the cell to per-trial serial execution — never crash
+        # the batch — and say so: every row carries the fallback reason and
+        # is otherwise the exact serial row
         from repro.core import vmapped
 
         def explode(self, instances, net, seeds):
@@ -110,5 +111,8 @@ class TestAdaptiveVmapParity:
                             explode)
         spec = adaptive_cell("adaptive-vmap-blowup", replicates=2)
         serial, vmap = run_both(spec)
-        assert digest(serial) == digest(vmap)
+        assert all("injected mid-batch failure" in r["fallback"]
+                   for r in vmap.rows())
+        assert digest(serial) == digest(vmap,
+                                        WALL_CLOCK_FIELDS + ("fallback",))
         assert all(r["status"] == STATUS_OK for r in vmap.rows())

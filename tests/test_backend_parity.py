@@ -10,6 +10,9 @@ import json
 
 import pytest
 
+from repro.core import routing
+from repro.core.batched_routing import CellUnbatchable
+from repro.core.vmapped import BatchedNonAdaptiveAllToAll
 from repro.experiments import TrialStore, free_grid, run_campaign
 from repro.experiments.runner import STATUS_OK, STATUS_UNSUPPORTED
 
@@ -17,11 +20,11 @@ from repro.experiments.runner import STATUS_OK, STATUS_UNSUPPORTED
 WALL_CLOCK_FIELDS = ("wall_seconds", "recorded_unix")
 
 
-def digest(result):
+def digest(result, ignore=WALL_CLOCK_FIELDS):
     rows = []
     for row in result.rows():
         row = dict(row)
-        for field in WALL_CLOCK_FIELDS:
+        for field in ignore:
             row.pop(field, None)
         rows.append(row)
     return json.dumps(rows, sort_keys=True)
@@ -88,11 +91,77 @@ class TestBackendParity:
         rows = digests["vmap"][1].rows()
         assert not any("fallback" in r for r in rows)
 
+    @pytest.mark.parametrize("adversary", ["null", "iid-corrupt",
+                                           "iid-erase"])
+    def test_nonadaptive_n64_cell_batches_natively(self, adversary):
+        # the benchmark's nonadaptive cell: its shift-dependent return step
+        # rides the grouped router, so the whole cell must batch
+        spec = free_grid(name=f"parity-na64-{adversary}",
+                         protocols=("nonadaptive",), adversaries=(adversary,),
+                         ns=(64,), alphas=(1 / 32,), replicates=2)
+        digests = run_backends(spec)
+        assert digests["serial"][0] == digests["vmap"][0]
+        rows = digests["vmap"][1].rows()
+        assert all(r["status"] == STATUS_OK for r in rows)
+        assert not any("fallback" in r for r in rows)
+
+    def test_waves_wider_than_52_planes_take_the_or_scatter(self,
+                                                           monkeypatch):
+        # bandwidth 60 packs 60 batches into one wave: past float64's
+        # exact-sum range, so staging must use the exact OR-scatter
+        widths = []
+        stage = routing._stage
+
+        def spy(keys, values, cells, width):
+            widths.append(width)
+            return stage(keys, values, cells, width)
+
+        monkeypatch.setattr(routing, "_stage", spy)
+        spec = free_grid(name="parity-wide-waves", protocols=("nonadaptive",),
+                         adversaries=("iid-corrupt",), ns=(16,),
+                         alphas=(1 / 16,), bandwidths=(60,), replicates=2)
+        digests = run_backends(spec)
+        assert max(widths) > 52
+        assert digests["serial"][0] == digests["vmap"][0]
+        rows = digests["vmap"][1].rows()
+        assert all(r["status"] == STATUS_OK for r in rows)
+        assert not any("fallback" in r for r in rows)
+
     def test_unknown_backend_rejected(self):
         spec = free_grid(name="parity-bad", ns=(16,), alphas=(0.0,),
                          replicates=1)
         with pytest.raises(ValueError, match="unknown backend"):
             run_campaign(spec, store=TrialStore(None), backend="gpu")
+
+
+class TestWholeCellFallbackMarked:
+    """A cell that falls back to serial execution as a whole says so on
+    every row; the rows otherwise equal the serial backend's."""
+
+    SPEC = free_grid(name="fallback-marked", protocols=("nonadaptive",),
+                     adversaries=("null",), ns=(16,), alphas=(0.0,),
+                     replicates=2)
+
+    def assert_marked(self, reason):
+        digests = run_backends(self.SPEC)
+        rows = digests["vmap"][1].rows()
+        assert rows and all(reason in r.get("fallback", "") for r in rows)
+        assert digest(digests["vmap"][1],
+                      WALL_CLOCK_FIELDS + ("fallback",)) \
+            == digests["serial"][0]
+
+    @pytest.mark.parametrize("error", [CellUnbatchable("schedules diverge"),
+                                       RuntimeError("boom")])
+    def test_batch_failure_rows_carry_the_reason(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(BatchedNonAdaptiveAllToAll, "run_many", fail)
+        self.assert_marked(repr(error))
+
+    def test_byte_budget_fallback_rows_are_marked(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BYTE_BUDGET", "1")
+        self.assert_marked("byte budget")
 
 
 class TestHeaderDedup:

@@ -72,3 +72,25 @@ def test_empty_schedule():
     empty = np.zeros(0, dtype=np.int64)
     batch, block, num_batches = _grouped_greedy(empty, empty, empty, 4)
     assert len(batch) == 0 and len(block) == 0 and num_batches == 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bitmask_scheduler_matches_set_reference(seed):
+    # the serial scheduler (the oracle above) against its own set-based
+    # reference, on multi-target chunk lists
+    rng = np.random.default_rng(100 + seed)
+    nodes = int(rng.integers(4, 20))
+    num_blocks = int(rng.integers(1, 9))
+    chunks = []
+    for m in range(int(rng.integers(1, 50))):
+        src = int(rng.integers(0, nodes))
+        targets = tuple(sorted(set(
+            rng.integers(0, nodes, size=int(rng.integers(1, 4))).tolist())))
+        for index in range(int(rng.integers(1, 3 * num_blocks))):
+            chunks.append(_Chunk(source=src, slot=m, index=index,
+                                 bits=np.ones(1, dtype=np.uint8),
+                                 targets=targets))
+    got = SuperMessageRouter._schedule_blocks(chunks, num_blocks)
+    want = SuperMessageRouter._schedule_blocks_reference(chunks, num_blocks)
+    assert [[(id(c), b) for c, b in batch] for batch in got] == \
+        [[(id(c), b) for c, b in batch] for batch in want]

@@ -188,3 +188,37 @@ class TestBroadcast:
         payload = rng.integers(0, 2, 32).astype(np.uint8)
         out = broadcast(router, 0, payload)
         assert all(np.array_equal(out[v], payload) for v in range(64))
+
+
+class TestBatchedRouterParity:
+    """``BatchedRouter.route`` at one trial is the serial router: same
+    outputs and the same drop and erasure accounting."""
+
+    def test_erasures_counted_like_serial(self):
+        from repro.cliquesim.batched import BatchedClique
+        from repro.core.batched_routing import BatchedRouter
+        from repro.faults.channels import BatchedIIDEdgeChannel, IIDEdgeChannel
+
+        n, alpha, seed = 32, 1 / 32, 5
+        _, code = SIMULATION.select_routing_code(n, alpha)
+        assert code.supports_erasures
+        rng = make_rng(3)
+        messages = [SuperMessage.make(u, slot, rng.integers(0, 2, 24),
+                                      [(u + 1 + slot) % n, (u + 7) % n])
+                    for u in range(n) for slot in range(2)]
+        serial = SuperMessageRouter(
+            CongestedClique(n, bandwidth=8, adversary=IIDEdgeChannel(
+                alpha, mode="erase", seed=seed)), SIMULATION).route(messages)
+        batched = BatchedRouter(
+            BatchedClique(n, 1, bandwidth=8, adversary=BatchedIIDEdgeChannel(
+                alpha, [seed], mode="erase")), SIMULATION).route([messages])[0]
+        assert serial.erased_entries > 0
+        assert batched.erased_entries == serial.erased_entries
+        assert batched.dropped_entries == serial.dropped_entries
+        assert batched.decode_failures == serial.decode_failures
+        assert batched.rounds == serial.rounds
+        assert serial.outputs.keys() == batched.outputs.keys()
+        for target, received in serial.outputs.items():
+            assert received.keys() == batched.outputs[target].keys()
+            for key, bits in received.items():
+                np.testing.assert_array_equal(bits, batched.outputs[target][key])
