@@ -53,9 +53,6 @@ class RoundOutcome:
 
     index: int
     width: int
-    intended: np.ndarray
-    delivered: np.ndarray
-    fault_edges: Optional[np.ndarray] = None
     corrupted_entries: int = 0
     #: bits actually sent this round (width x off-diagonal non-"-1" entries)
     bits: int = 0

@@ -2,21 +2,21 @@
 for a whole stack of protocol instances.
 
 A campaign cell (same protocol, n, width, bandwidth, adversary kind and
-alpha) is ``trials`` independent :class:`~repro.cliquesim.network.
-CongestedClique` instances whose per-round state is already ``(n, n,
-words)`` planes; :class:`BatchedClique` stacks them into ``(trials, n, n,
-words)`` and exposes the same ``round`` / ``round_many`` /
-``exchange_words`` / ``exchange_bits`` contract over the leading batch
-axis.  What this buys:
+alpha) is ``trials`` independent cliques whose per-round state is already
+``(n, n, words)`` planes; :class:`BatchedClique` stacks them into
+``(trials, n, n, words)``.  It is the shared engine core
+(:class:`~repro.cliquesim.network.Clique`) at ``lead == (trials,)``, so
+``round_many`` / ``exchange`` / ``exchange_words`` / ``exchange_bits``,
+payload validation, the clamp and the booking are the serial engine's own
+code, each reduction running over the batch at once.  What is its own:
 
-* per-round bookkeeping (:meth:`BatchedClique._book_round_many`) computes
-  every trial's bits/corruption counters with *one* reduction over the
-  stack — the ``count_nonzero`` passes that bound serial exchange
-  throughput amortize across the batch;
-* payload validation and chunk staging run once over the whole stack;
-* adversary consultation is lifted to batched ``(trials, n, n)`` masks
+* the adversary consultation: a fault-free batch skips the adversary
+  entirely, otherwise it is consulted once per round for every trial with
+  batched ``(trials, n, n)`` masks
   (:class:`~repro.adversary.batched.BatchedAdversary`), with per-trial
-  independent RNG streams inside the batch.
+  independent RNG streams inside the batch;
+* :meth:`BatchedClique.exchange_words_ragged`, a transport whose width
+  differs per trial.
 
 Trials execute in lockstep: every trial sees the same round sequence
 (index, width, label), which is exactly the situation in a campaign cell —
@@ -29,7 +29,7 @@ time on serial engines.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,37 +40,23 @@ from repro.adversary.batched import (
     BatchRoundView,
 )
 from repro.adversary.budget import validate_fault_sets
-from repro.cliquesim.network import MAX_ROUND_WIDTH, BandwidthViolation
-from repro.obs import metrics, tracing
-from repro.utils.bits import WORD_BITS, pack_bits, unpack_bits, words_per_width
+from repro.cliquesim.network import Clique
+from repro.utils.bits import WORD_BITS, words_per_width
 
 
-class BatchedClique:
+class BatchedClique(Clique):
     """``trials`` bandwidth-B Congested Cliques driven in lockstep."""
 
     def __init__(self, n: int, trials: int, bandwidth: int = 1,
                  adversary: Optional[BatchedAdversary] = None,
                  keep_history: bool = False):
-        if n < 2:
-            raise ValueError("need at least two nodes")
         if trials < 1:
             raise ValueError("need at least one trial")
-        if not 1 <= bandwidth <= MAX_ROUND_WIDTH:
-            raise ValueError(
-                f"bandwidth must be in [1, {MAX_ROUND_WIDTH}] bits")
-        self.n = n
+        # history defaults OFF here (campaign cells only need counters)
+        super().__init__(n, bandwidth, (trials,),
+                         adversary if adversary is not None
+                         else BatchedNullAdversary(), keep_history)
         self.trials = trials
-        self.bandwidth = bandwidth
-        self.adversary = (adversary if adversary is not None
-                          else BatchedNullAdversary())
-        self.adversary.begin_protocol(n, trials)
-        #: history defaults OFF here (campaign cells only need counters);
-        #: an adversary that reads view.history forces it on
-        self.keep_history = keep_history or self.adversary.reads_history
-        self.histories: List[List[RoundOutcome]] = [[] for _ in range(trials)]
-        self.rounds_used = 0
-        self.bits_sent = np.zeros(trials, dtype=np.int64)
-        self.entries_corrupted = np.zeros(trials, dtype=np.int64)
         #: extra per-trial rounds booked by :meth:`exchange_words_ragged`
         #: (zero for purely lockstep protocols)
         self.rounds_ragged = np.zeros(trials, dtype=np.int64)
@@ -82,81 +68,6 @@ class BatchedClique:
         trial-specific ragged-tail rounds."""
         return self.rounds_used + self.rounds_ragged
 
-    # -- core round ----------------------------------------------------------
-    def _check_width(self, width: int) -> None:
-        if width > self.bandwidth:
-            raise BandwidthViolation(
-                f"round width {width} exceeds bandwidth {self.bandwidth}")
-        if width < 1:
-            raise ValueError("round width must be at least 1 bit")
-
-    def _check_payload(self, intended: np.ndarray, width: int) -> None:
-        if intended.shape[-3:] != (self.trials, self.n, self.n):
-            raise ValueError(
-                f"payload stack must end in ({self.trials}, {self.n}, "
-                f"{self.n}), got {intended.shape}")
-        high = np.int64(1) << width
-        if intended.min() < -1 or intended.max() >= high:
-            raise BandwidthViolation(
-                f"payload values must be -1 or fit in {width} bits")
-
-    def _fast_booking(self) -> bool:
-        """True when per-round accounting can collapse to plain counter
-        arithmetic (no history, tracer, or metrics consumers); the counter
-        values stay bit-identical either way."""
-        return (not self.keep_history and tracing.active() is None
-                and not metrics.enabled())
-
-    def _book_rounds_fast(self, intended_stack: np.ndarray,
-                          widths: Sequence[int]) -> None:
-        """Book a whole fault-free ``(rounds, trials, n, n)`` stack with one
-        reduction; only legal under :meth:`_fast_booking`."""
-        ids = np.arange(self.n)
-        sent_entries = (np.count_nonzero(intended_stack >= 0, axis=(2, 3))
-                        - np.count_nonzero(
-                            intended_stack[:, :, ids, ids] >= 0, axis=2))
-        self.rounds_used += len(widths)
-        self.bits_sent += (np.asarray(widths, dtype=np.int64)[:, None]
-                           * sent_entries).sum(axis=0)
-
-    def _book_round_many(self, intended: np.ndarray, delivered: np.ndarray,
-                         edges: Optional[np.ndarray], width: int,
-                         label: str) -> None:
-        """Per-round accounting for the whole batch: one reduction over the
-        ``(trials, n, n)`` stack per counter instead of one pass per trial."""
-        ids = np.arange(self.n)
-        if edges is None:
-            corrupted = np.zeros(self.trials, dtype=np.int64)
-        else:
-            corrupted = np.count_nonzero(delivered != intended,
-                                         axis=(1, 2)).astype(np.int64)
-        sent_entries = (np.count_nonzero(intended >= 0, axis=(1, 2))
-                        - np.count_nonzero(intended[:, ids, ids] >= 0,
-                                           axis=1)).astype(np.int64)
-        bits = width * sent_entries
-        if self._fast_booking():
-            self.rounds_used += 1
-            self.bits_sent += bits
-            self.entries_corrupted += corrupted
-            return
-        if self.keep_history:
-            for t in range(self.trials):
-                self.histories[t].append(RoundOutcome(
-                    index=self.rounds_used, width=width,
-                    intended=None, delivered=None, fault_edges=None,
-                    corrupted_entries=int(corrupted[t]), bits=int(bits[t]),
-                    label=label))
-        self.rounds_used += 1
-        self.bits_sent += bits
-        self.entries_corrupted += corrupted
-        metrics.count("net.rounds")
-        metrics.count("net.bits", int(bits.sum()))
-        tracer = tracing.active()
-        if tracer is not None:
-            tracer.round_event(index=self.rounds_used - 1, label=label,
-                               width=width, bits=int(bits.sum()),
-                               corrupted=int(corrupted.sum()))
-
     def round(self, intended: np.ndarray, width: Optional[int] = None,
               label: str = "") -> np.ndarray:
         """Execute one synchronous round in every trial; returns the
@@ -165,161 +76,23 @@ class BatchedClique:
             raise RuntimeError(
                 "a ragged exchange must be the final transport: per-trial "
                 "round indices have already diverged")
-        width = self.bandwidth if width is None else width
-        self._check_width(width)
-        intended = np.asarray(intended, dtype=np.int64)
-        self._check_payload(intended, width)
-
+        intended, width = self._admit(intended, width)
         if self.fault_free():
-            self._book_round_many(intended, intended, None, width, label)
+            self._book_round(intended, intended, None, width, label)
             return intended.copy()
-
         view = BatchRoundView(index=self.rounds_used, width=width,
                               intended=intended.copy(),
                               histories=self.histories, label=label)
         edges = np.asarray(self.adversary.select_edges_many(view), dtype=bool)
-        # see the serial engine: Byzantine-node models validate at degree
-        # budget ``validation_alpha`` while codes size from ``alpha``
-        validate_fault_sets(edges, self.n,
-                            getattr(self.adversary, "validation_alpha",
-                                    self.adversary.alpha))
-        proposed = np.asarray(self.adversary.corrupt_many(view, edges),
-                              dtype=np.int64)
-        if proposed.shape != intended.shape:
-            raise ValueError("adversary returned a malformed delivery stack")
-        high = np.int64(1) << width
-        if proposed.min() < -1 or proposed.max() >= high:
-            proposed = np.clip(proposed, -1, int(high) - 1)
-        # clamp: only entries across a trial's own faulty edges may change
-        delivered = np.where(edges, proposed, intended)
-        ids = np.arange(self.n)
-        delivered[:, ids, ids] = intended[:, ids, ids]
+        validate_fault_sets(edges, self.n, self._budget_alpha)
+        return self._clamp_and_book(intended,
+                                    self.adversary.corrupt_many(view, edges),
+                                    edges, width, label)
 
-        self._book_round_many(intended, delivered, edges, width, label)
-        return delivered
-
-    def round_many(self, intended_stack: np.ndarray,
-                   widths: Sequence[int],
-                   labels: Sequence[str]) -> np.ndarray:
-        """Execute consecutive rounds from a ``(rounds, trials, n, n)``
-        payload stack; fault-free batches validate once and skip the
-        adversary machinery entirely."""
-        intended_stack = np.asarray(intended_stack, dtype=np.int64)
-        count = len(widths)
-        if intended_stack.shape != (count, self.trials, self.n, self.n):
-            raise ValueError(
-                f"expected payload stack ({count}, {self.trials}, "
-                f"{self.n}, {self.n}), got {intended_stack.shape}")
-        if len(labels) != count:
-            raise ValueError("one label per round required")
-        if count == 0:
-            return intended_stack.copy()
-        with metrics.timed("net.round_many"):
-            if not self.fault_free():
-                return np.stack([
-                    self.round(intended_stack[i], widths[i], labels[i])
-                    for i in range(count)])
-            max_width = max(widths)
-            self._check_width(max_width)
-            for i, width in enumerate(widths):
-                self._check_width(width)
-                if width < max_width:
-                    self._check_payload(intended_stack[i], width)
-            self._check_payload(intended_stack, max_width)
-            if self._fast_booking():
-                self._book_rounds_fast(intended_stack, widths)
-            else:
-                for i, width in enumerate(widths):
-                    self._book_round_many(intended_stack[i],
-                                          intended_stack[i],
-                                          None, width, labels[i])
-            return intended_stack.copy()
-
-    # -- helpers -------------------------------------------------------------
-    def exchange(self, intended: np.ndarray, width: int,
-                 label: str = "") -> np.ndarray:
-        """Batched chunked exchange: ``(trials, n, n)`` payloads of
-        ``width`` bits, split into ``ceil(width / B)`` rounds when width
-        exceeds the bandwidth; dropped entries come back as -1."""
-        intended = np.asarray(intended, dtype=np.int64)
-        if width <= self.bandwidth:
-            return self.round(intended, width, label)
-        present = intended >= 0
-        plane = np.where(present, intended, 0).astype(np.uint64)[..., None]
-        spans = self._chunk_spans(width, self.bandwidth)
-        delivered, dropped = self.exchange_words(
-            plane, present, width,
-            labels=[f"{label}[chunk{part}]" for part in range(len(spans))])
-        out = delivered[..., 0].astype(np.int64)
-        return np.where(dropped | ~present, -1, out)
-
-    @staticmethod
-    def _chunk_spans(width: int, bandwidth: int):
-        return [(start, min(bandwidth, width - start))
-                for start in range(0, width, bandwidth)]
-
-    def exchange_words(self, words: np.ndarray, present: np.ndarray,
-                       width: int, label: str = "",
-                       labels: Optional[Sequence[str]] = None,
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Trial-batched packed-word transport: ``words[t, u, v, :]`` are
-        the payload words u sends v in trial t, ``present[t, u, v]`` gates
-        sending.  One vectorized chunk gather stages every round of every
-        trial; returns ``(delivered, dropped)`` where ``dropped`` is the
-        per-trial ``(trials, n, n)`` mask of silenced sent payloads."""
-        words = np.asarray(words, dtype=np.uint64)
-        present = np.asarray(present, dtype=bool)
-        n_words = words_per_width(width)
-        if words.ndim != 4 or words.shape[:3] != (self.trials, self.n, self.n) \
-                or words.shape[3] < n_words:
-            raise ValueError(
-                f"expected shape ({self.trials}, {self.n}, {self.n}, "
-                f">={n_words})")
-        if width == 0:
-            return np.zeros_like(words), np.zeros(
-                (self.trials, self.n, self.n), dtype=bool)
-        spans = self._chunk_spans(width, self.bandwidth)
-        if labels is None:
-            labels = [f"{label}[bits{start}]" for start, _ in spans]
-        elif len(labels) != len(spans):
-            raise ValueError(f"expected {len(spans)} labels")
-        starts = np.array([s for s, _ in spans], dtype=np.int64)
-        takes = np.array([t for _, t in spans], dtype=np.int64)
-        word_of = starts // WORD_BITS
-        offset = (starts % WORD_BITS).astype(np.uint64)
-        masks = ((np.uint64(1) << takes.astype(np.uint64)) - np.uint64(1))
-        # one gather + shift over the whole stack: chunk p of every edge of
-        # every trial at once
-        value = words[..., word_of] >> offset
-        straddle = (starts % WORD_BITS) + takes > WORD_BITS
-        if straddle.any():
-            carry = words[..., word_of[straddle] + 1] << (
-                np.uint64(WORD_BITS) - offset[straddle])
-            value[..., straddle] |= carry
-        chunks = np.ascontiguousarray(
-            (value & masks).astype(np.int64).transpose(3, 0, 1, 2))
-        chunks[:, ~present] = -1
-        with metrics.timed("net.exchange_words"):
-            got = self.round_many(chunks, [int(t) for t in takes],
-                                  list(labels))
-        dropped = present & (got < 0).any(axis=0)
-        tracer = tracing.active()
-        if tracer is not None or metrics.enabled():
-            n_dropped = int(np.count_nonzero(dropped))
-            metrics.count("net.dropped_entries", n_dropped)
-            if tracer is not None:
-                tracer.transport_event(
-                    label=label or (labels[0] if labels else ""),
-                    width=width, chunks=len(spans), dropped=n_dropped)
-        got = np.where(got < 0, 0, got).astype(np.uint64)
-        out = np.zeros_like(words)
-        for part, (start, take) in enumerate(spans):
-            word, off = divmod(start, WORD_BITS)
-            out[..., word] |= got[part] << np.uint64(off)
-            if off + take > WORD_BITS:
-                out[..., word + 1] |= got[part] >> np.uint64(
-                    WORD_BITS - off)
-        return out, dropped
+    # bound here, not inherited: tracing wraps each engine's own methods
+    round_many = Clique.round_many
+    exchange_words = Clique.exchange_words
+    exchange_bits = Clique.exchange_bits
 
     def exchange_words_ragged(self, words: np.ndarray, present: np.ndarray,
                               widths: np.ndarray, label: str = "",
@@ -336,30 +109,22 @@ class BatchedClique:
         words = np.asarray(words, dtype=np.uint64)
         present = np.asarray(present, dtype=bool)
         widths = np.asarray(widths, dtype=np.int64)
-        if widths.shape != (self.trials,):
-            raise ValueError(f"expected ({self.trials},) per-trial widths")
+        if widths.shape != self.lead:
+            raise ValueError(f"expected {self.lead} per-trial widths")
         if widths.min() < 1:
             raise ValueError("ragged widths must be at least 1 bit")
         max_width = int(widths.max())
         if int(widths.min()) == max_width:
             return self.exchange_words(words, present, max_width,
                                        label=label)
-        n_words = words_per_width(max_width)
-        if words.ndim != 4 or words.shape[:3] != (self.trials, self.n,
-                                                  self.n) \
-                or words.shape[3] < n_words:
-            raise ValueError(
-                f"expected shape ({self.trials}, {self.n}, {self.n}, "
-                f">={n_words})")
-        ids = np.arange(self.n)
-        sent_entries = (np.count_nonzero(present, axis=(1, 2))
-                        - np.count_nonzero(present[:, ids, ids], axis=1)
-                        ).astype(np.int64)
-        dropped = np.zeros((self.trials, self.n, self.n), dtype=bool)
+        self._check_planes(words, words_per_width(max_width))
+        sent_entries = self._sent_entries(present)
+        dropped = np.zeros(self.lead + (self.n, self.n), dtype=bool)
         out = np.zeros_like(words)
-        spans = self._chunk_spans(max_width, self.bandwidth)
-        for part, (start, _) in enumerate(spans):
+        for part, (start, _) in enumerate(
+                self._chunk_spans(max_width, self.bandwidth)):
             active = widths > start
+            # inactive trials take 0 bits, so they send and book nothing
             takes = np.where(active,
                              np.minimum(self.bandwidth, widths - start), 0)
             word, off = divmod(start, WORD_BITS)
@@ -370,63 +135,40 @@ class BatchedClique:
                                  << np.uint64(WORD_BITS - off))
             masks = ((np.uint64(1) << takes.astype(np.uint64))
                      - np.uint64(1))[:, None, None]
-            chunk = (value & masks).astype(np.int64)
-            mask_send = present & active[:, None, None]
-            intended = np.where(mask_send, chunk, np.int64(-1))
+            sent = present & active[:, None, None]
+            intended = np.where(sent, (value & masks).astype(np.int64),
+                                np.int64(-1))
+            index = self.rounds_used + part
             label_p = f"{label}[bits{start}]"
             if self.fault_free():
                 delivered = intended
                 corrupted = np.zeros(self.trials, dtype=np.int64)
             else:
                 view = BatchRoundView(
-                    index=self.rounds_used + part, width=int(takes.max()),
+                    index=index, width=int(takes.max()),
                     intended=intended.copy(), histories=self.histories,
                     label=label_p, widths=takes.copy(),
                     active=active.copy())
                 edges = np.asarray(self.adversary.select_edges_many(view),
                                    dtype=bool)
-                edges[~active] = False
-                validate_fault_sets(edges, self.n,
-                                    getattr(self.adversary,
-                                            "validation_alpha",
-                                            self.adversary.alpha))
-                proposed = np.asarray(
-                    self.adversary.corrupt_many(view, edges),
-                    dtype=np.int64)
-                if proposed.shape != intended.shape:
-                    raise ValueError(
-                        "adversary returned a malformed delivery stack")
-                high = (np.int64(1) << takes)[:, None, None]
-                proposed = np.clip(proposed, -1, high - 1)
-                delivered = np.where(edges, proposed, intended)
-                delivered[:, ids, ids] = intended[:, ids, ids]
-                corrupted = np.count_nonzero(delivered != intended,
-                                             axis=(1, 2)).astype(np.int64)
-            bits = takes * np.where(active, sent_entries, 0)
+                edges[~active] = False  # finished trials see no faults
+                validate_fault_sets(edges, self.n, self._budget_alpha)
+                delivered = self._clamp(
+                    intended, self.adversary.corrupt_many(view, edges),
+                    edges, (np.int64(1) << takes)[:, None, None])
+                corrupted = self._count(delivered != intended)
+            bits = takes * sent_entries
             if self.keep_history:
-                for t in range(self.trials):
-                    if active[t]:
-                        self.histories[t].append(RoundOutcome(
-                            index=int(self.rounds_used
-                                      + self.rounds_ragged[t]),
-                            width=int(takes[t]), intended=None,
-                            delivered=None, fault_edges=None,
-                            corrupted_entries=int(corrupted[t]),
-                            bits=int(bits[t]), label=label_p))
-            if not self._fast_booking():
-                metrics.count("net.rounds")
-                metrics.count("net.bits", int(bits.sum()))
-                tracer = tracing.active()
-                if tracer is not None:
-                    tracer.round_event(index=self.rounds_used + part,
-                                       label=label_p,
-                                       width=int(takes.max()),
-                                       bits=int(bits.sum()),
-                                       corrupted=int(corrupted.sum()))
+                for t in np.flatnonzero(active):
+                    self.histories[t].append(RoundOutcome(
+                        index=int(self.rounds_by_trial[t]),
+                        width=int(takes[t]),
+                        corrupted_entries=int(corrupted[t]),
+                        bits=int(bits[t]), label=label_p))
+            self._observe(index, int(takes.max()), label_p, bits, corrupted)
             self.rounds_ragged += active
-            self.bits_sent += bits
-            self.entries_corrupted += corrupted
-            dropped |= mask_send & (delivered < 0)
+            self._tally(0, bits, corrupted)
+            dropped |= sent & (delivered < 0)
             got = np.where(delivered < 0, 0, delivered).astype(np.uint64)
             out[..., word] |= got << np.uint64(off)
             if off and off + self.bandwidth > WORD_BITS \
@@ -434,23 +176,6 @@ class BatchedClique:
                 out[..., word + 1] |= got >> np.uint64(WORD_BITS - off)
         self._ragged_done = True
         return out, dropped
-
-    def exchange_bits(self, bits: np.ndarray, present: np.ndarray,
-                      label: str = "") -> Tuple[np.ndarray, np.ndarray]:
-        """Trial-batched arbitrary-width bit transport: packs the
-        ``(trials, n, n, width)`` tensor into word planes once, moves the
-        planes, unpacks once."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        present = np.asarray(present, dtype=bool)
-        if bits.ndim != 4 or bits.shape[:3] != (self.trials, self.n, self.n):
-            raise ValueError(
-                f"expected shape ({self.trials}, {self.n}, {self.n}, width)")
-        width = bits.shape[3]
-        delivered, dropped = self.exchange_words(pack_bits(bits), present,
-                                                 width, label=label)
-        if width == 0:
-            return np.zeros_like(bits), dropped
-        return unpack_bits(delivered, width), dropped
 
     def fault_free(self) -> bool:
         return isinstance(self.adversary, BatchedNullAdversary)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -147,6 +147,58 @@ def design_ldc_for_sketch(t_bits: int, n: int, alpha: float,
     return best
 
 
+class SketchLayout(NamedTuple):
+    """The sketch spec, its LDC and the wire layout every node derives."""
+
+    spec: SketchSpec
+    ldc: ReedMullerLDC
+    t_bits: int
+    symbol_bits: int          # sketch-bit packing
+    wire_bits: int            # codeword symbols on the wire
+    t_symbols: int
+    t_pad: int
+    sketches_per_piece: int
+    num_pieces: int           # the paper's b
+    symbols_per_node: int
+
+
+def design_sketch_layout(n: int, width: int, part_size: int, alpha: float,
+                         params: AdaptiveParameters) -> SketchLayout:
+    """Walk the sketch capacity (then the row count) down until the sketch
+    fits an LDC codeword with an acceptable line margin, and derive the
+    piece layout; every node computes the same result."""
+    max_id = n * n * (1 << width) - 1
+    candidates = (SketchSpec(capacity=capacity, max_id=max_id,
+                             max_abs_count=2 * part_size + 2, rows=rows,
+                             fingerprint_prime=params.fingerprint_prime)
+                  for rows in range(params.sketch_rows, 0, -1)
+                  for capacity in range(params.sketch_capacity,
+                                        params.min_sketch_capacity - 1, -1))
+    last_error = None
+    for spec in candidates:
+        try:
+            ldc = design_ldc_for_sketch(spec.total_bits, n, alpha, params)
+            break
+        except ProfileError as exc:
+            last_error = exc
+    else:
+        raise last_error
+    # a kept ProfileError's traceback would pin this frame in a reference
+    # cycle until the collector runs
+    last_error = None
+    t_bits = spec.total_bits
+    symbol_bits = (ldc.p - 1).bit_length() - 1
+    t_symbols = -(-t_bits // symbol_bits)
+    t_pad = t_symbols * symbol_bits
+    sketches_per_piece = max(1, (ldc.k * symbol_bits) // t_pad)
+    return SketchLayout(
+        spec=spec, ldc=ldc, t_bits=t_bits, symbol_bits=symbol_bits,
+        wire_bits=(ldc.p - 1).bit_length(), t_symbols=t_symbols, t_pad=t_pad,
+        sketches_per_piece=sketches_per_piece,
+        num_pieces=-(-n // sketches_per_piece),
+        symbols_per_node=-(-ldc.n // n))
+
+
 class AdaptiveAllToAll(AllToAllProtocol):
     """Theorem 1.3: randomized, LDC + sketches, adaptive adversary."""
 
@@ -209,44 +261,10 @@ class AdaptiveAllToAll(AllToAllProtocol):
                 step_msgs.append(SuperMessage.make(v, i, bits, [target]))
         routed = router.route(step_msgs, label="adaptive/concentrate")
 
-        # sketch spec shared by all nodes (fixed t-bit serialisation); the
-        # capacity walks down until the sketch fits an LDC codeword with an
-        # acceptable line margin (every node computes the same spec)
-        max_id = n * n * (1 << width) - 1
-        spec = None
-        ldc = None
-        last_error = None
-        for rows in range(params.sketch_rows, 0, -1):
-            for capacity in range(params.sketch_capacity,
-                                  params.min_sketch_capacity - 1, -1):
-                candidate = SketchSpec(
-                    capacity=capacity,
-                    max_id=max_id,
-                    max_abs_count=2 * part_size + 2,
-                    rows=rows,
-                    fingerprint_prime=params.fingerprint_prime)
-                try:
-                    ldc = design_ldc_for_sketch(candidate.total_bits, n,
-                                                alpha, params)
-                    spec = candidate
-                    break
-                except ProfileError as exc:
-                    last_error = exc
-            if spec is not None:
-                break
-        if spec is None:
-            raise last_error
-        # a kept ProfileError's traceback would pin this frame (and every
-        # array it holds) in a reference cycle until the collector runs
-        last_error = None
-        t_bits = spec.total_bits
-        symbol_bits = (ldc.p - 1).bit_length() - 1   # sketch-bit packing
-        wire_bits = (ldc.p - 1).bit_length()         # codeword symbols on the wire
-        t_symbols = -(-t_bits // symbol_bits)
-        t_pad = t_symbols * symbol_bits
-        sketches_per_piece = max(1, (ldc.k * symbol_bits) // t_pad)
-        num_pieces = -(-n // sketches_per_piece)   # the paper's b
-        symbols_per_node = -(-ldc.n // n)
+        # sketch spec shared by all nodes (fixed t-bit serialisation)
+        (spec, ldc, t_bits, symbol_bits, wire_bits, t_symbols, t_pad,
+         sketches_per_piece, num_pieces, symbols_per_node) = \
+            design_sketch_layout(n, width, part_size, alpha, params)
 
         # P_j[i] builds Sk(P_j, {v}) for each v in S_i from the *true*
         # messages it received through the resilient routing; each holder's

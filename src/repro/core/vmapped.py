@@ -47,15 +47,15 @@ from repro.cliquesim.topology import (balanced_random_partition,
                                       partition_members, sqrt_segments)
 from repro.coding.linear import best_effort_linear_code
 from repro.core.adaptive import (AdaptiveAllToAll, AdaptiveParameters,
-                                 design_ldc_for_sketch)
+                                 design_sketch_layout)
 from repro.core.batched_routing import (BatchedRouter, CellUnbatchable,
                                         broadcast_many)
 from repro.core.messages import AllToAllInstance, ProtocolReport, verify_beliefs
-from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
+from repro.core.profiles import ProtocolProfile, SIMULATION
 from repro.core.protocol import pack_block, pack_rows, unpack_block, unpack_rows
 from repro.core.routing import SuperMessage
 from repro.sketch.ksparse import (SketchPlaneStack, SketchRecoveryError,
-                                  SketchSpec, planes_supported)
+                                  planes_supported)
 from repro.utils.bits import pack_bits, pack_symbols, unpack_bits, unpack_symbols
 from repro.utils.rng import derive, fresh_seed
 
@@ -416,46 +416,14 @@ class BatchedAdaptiveAllToAll:
         unpacked1 = unpack_rows(out1.reshape(trials * M1, L1), seg_size,
                                 width).reshape(trials, n, part_size, seg_size)
 
-        # sketch spec + LDC walk-down: identical to serial, shared by trials
-        max_id = n * n * (1 << width) - 1
-        spec = None
-        ldc = None
-        last_error = None
-        for rows in range(params.sketch_rows, 0, -1):
-            for capacity in range(params.sketch_capacity,
-                                  params.min_sketch_capacity - 1, -1):
-                candidate = SketchSpec(
-                    capacity=capacity,
-                    max_id=max_id,
-                    max_abs_count=2 * part_size + 2,
-                    rows=rows,
-                    fingerprint_prime=params.fingerprint_prime)
-                try:
-                    ldc = design_ldc_for_sketch(candidate.total_bits, n,
-                                                alpha, params)
-                    spec = candidate
-                    break
-                except ProfileError as exc:
-                    last_error = exc
-            if spec is not None:
-                break
-        if spec is None:
-            raise last_error
-        # a kept ProfileError's traceback would pin this frame (and every
-        # array it holds) in a reference cycle until the collector runs
-        last_error = None
+        # sketch spec + LDC walk-down: the serial port's, shared by trials
+        (spec, ldc, t_bits, symbol_bits, wire_bits, t_symbols, t_pad,
+         sketches_per_piece, num_pieces, symbols_per_node) = \
+            design_sketch_layout(n, width, part_size, alpha, params)
         if not planes_supported(spec):
             raise CellUnbatchable(
                 "sketch spec outside the plane fast path; scalar sketches "
                 "run per trial")
-        t_bits = spec.total_bits
-        symbol_bits = (ldc.p - 1).bit_length() - 1
-        wire_bits = (ldc.p - 1).bit_length()
-        t_symbols = -(-t_bits // symbol_bits)
-        t_pad = t_symbols * symbol_bits
-        sketches_per_piece = max(1, (ldc.k * symbol_bits) // t_pad)
-        num_pieces = -(-n // sketches_per_piece)
-        symbols_per_node = -(-ldc.n // n)
 
         # ===== Step II(c): every (trial, group, target) sketch in one stack ==
         # ids[t, j, i, c, s] hashes source u = P_j[s]'s received value for

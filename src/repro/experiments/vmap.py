@@ -72,16 +72,19 @@ _PLANE_COPIES = 4
 
 
 def batch_byte_budget() -> int:
-    """The in-effect batch memory budget (env override or default)."""
+    """The in-effect batch memory budget (env override or default); an
+    override that is not a positive integer raises :class:`ValueError`."""
     raw = os.environ.get("REPRO_BATCH_BYTE_BUDGET")
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_BATCH_BYTE_BUDGET
+    if not raw:
+        return DEFAULT_BATCH_BYTE_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"REPRO_BATCH_BYTE_BUDGET={raw!r} is not a positive "
+                         f"integer number of bytes")
+    return value
 
 
 def trial_plane_bytes(trial: TrialSpec) -> int:

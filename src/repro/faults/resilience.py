@@ -24,6 +24,7 @@ is what keeps the backend parity contract intact.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import threading
@@ -103,14 +104,22 @@ def trial_alarm(seconds: Optional[float]):
 
 
 def chaos_timeout_fraction() -> float:
-    """The configured chaos-injection probability (0.0 when disabled)."""
+    """The configured chaos-injection probability (0.0 when disabled).
+
+    A value that is not a number in [0, 1] raises :class:`ValueError`: read
+    as 0.0 it would turn chaos off, and a chaos run would then pass without
+    injecting anything."""
     raw = os.environ.get(CHAOS_TIMEOUT_ENV)
     if not raw:
         return 0.0
     try:
-        return max(0.0, min(1.0, float(raw)))
+        value = float(raw)
     except ValueError:
-        return 0.0
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{CHAOS_TIMEOUT_ENV}={raw!r} is not a probability "
+                         f"in [0, 1]")
+    return value
 
 
 def _chaos_hits(trial_hash: str, fraction: float) -> bool:

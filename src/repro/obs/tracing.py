@@ -5,10 +5,11 @@ relative to its creation:
 
 * ``meta`` — always the first event: schema version, creation wall-clock,
   free-form context (protocol, n, alpha, ...);
-* ``round`` — one per executed Congested Clique round, emitted by
-  ``CongestedClique._book_round`` while a tracer is installed: round index,
-  label, phase (:func:`repro.cliquesim.trace.phase_of` of the label),
-  width, bits actually sent, corrupted entries;
+* ``round`` — one per executed Congested Clique round, emitted by the
+  engine core's ``Clique._observe`` while a tracer is installed: round
+  index, label, phase (:func:`repro.cliquesim.trace.phase_of` of the
+  label), width, bits actually sent, corrupted entries (the batched engine
+  sums bits and corruptions over its trials);
 * ``transport`` — one per packed ``exchange_words`` call: label, phase,
   width, chunk count, dropped ("no message") entries;
 * ``span`` — explicit begin/end intervals from :meth:`Tracer.span`, with a
@@ -117,7 +118,7 @@ class Tracer:
 
     def round_event(self, index: int, label: str, width: int, bits: int,
                     corrupted: int) -> None:
-        """One executed engine round (called from ``_book_round``)."""
+        """One executed engine round (called from ``Clique._observe``)."""
         self.event("round", index=index, label=label,
                    phase=_phase_of(label), width=width, bits=bits,
                    corrupted=corrupted)

@@ -22,10 +22,24 @@ def payload_stack(seed: int, width: int = WIDTH) -> np.ndarray:
     return vals
 
 
+def history_rows(history):
+    return [(h.index, h.width, h.label, h.corrupted_entries, h.bits)
+            for h in history]
+
+
+def assert_trial_matches(bc, t, net):
+    """Trial ``t`` of ``bc`` booked exactly what the serial ``net`` did."""
+    assert int(bc.rounds_by_trial[t]) == net.rounds_used
+    assert int(bc.bits_sent[t]) == net.bits_sent
+    assert int(bc.entries_corrupted[t]) == net.entries_corrupted
+    assert history_rows(bc.histories[t]) == history_rows(net.history)
+
+
 def assert_engine_parity(batched_adv, serial_adv_factory, rounds=3):
     """Drive the same exchanges through a BatchedClique and per-trial
     CongestedCliques; everything observable must match bit for bit."""
-    bc = BatchedClique(N, TRIALS, bandwidth=4, adversary=batched_adv)
+    bc = BatchedClique(N, TRIALS, bandwidth=4, adversary=batched_adv,
+                       keep_history=True)
     nets = [CongestedClique(N, bandwidth=4, adversary=serial_adv_factory(t))
             for t in range(TRIALS)]
     for r in range(rounds):
@@ -36,8 +50,7 @@ def assert_engine_parity(batched_adv, serial_adv_factory, rounds=3):
             assert np.array_equal(got_b[t], got_s)
     for t in range(TRIALS):
         assert bc.rounds_used == nets[t].rounds_used
-        assert int(bc.bits_sent[t]) == nets[t].bits_sent
-        assert int(bc.entries_corrupted[t]) == nets[t].entries_corrupted
+        assert_trial_matches(bc, t, nets[t])
 
 
 class TestBatchedCliqueParity:
@@ -84,6 +97,61 @@ class TestBatchedCliqueParity:
         # independent per-trial streams: the drop patterns must differ
         assert not all(np.array_equal(dropped[0], dropped[t])
                        for t in range(1, TRIALS))
+
+
+class TestRaggedExchange:
+    """``exchange_words_ragged`` moves a different width per trial; each
+    trial must see exactly a serial ``exchange_words`` at its own width."""
+
+    #: bandwidth 6 makes the chunk at bit 60 straddle a word boundary
+    BANDWIDTH = 6
+    WIDTHS = np.array([20, 70, 45])
+
+    def run_both(self, batched_adv, serial_adv_factory):
+        rng = make_rng(31)
+        words = rng.integers(0, 1 << 63, size=(TRIALS, N, N, 2),
+                             dtype=np.uint64)
+        present = rng.random((TRIALS, N, N)) < 0.85
+        bc = BatchedClique(N, TRIALS, bandwidth=self.BANDWIDTH,
+                           adversary=batched_adv, keep_history=True)
+        nets = [CongestedClique(N, bandwidth=self.BANDWIDTH,
+                                adversary=serial_adv_factory(t))
+                for t in range(TRIALS)]
+        # a lockstep exchange first, so ragged round indices start past 0
+        vals = payload_stack(5)
+        bc.exchange(vals, width=WIDTH)
+        for t in range(TRIALS):
+            nets[t].exchange(vals[t], width=WIDTH)
+        got_b, dropped_b = bc.exchange_words_ragged(
+            words, present, self.WIDTHS, label="answers")
+        for t in range(TRIALS):
+            got_s, dropped_s = nets[t].exchange_words(
+                words[t], present[t], int(self.WIDTHS[t]), label="answers")
+            assert np.array_equal(got_b[t], got_s)
+            assert np.array_equal(dropped_b[t], dropped_s)
+            assert_trial_matches(bc, t, nets[t])
+        return bc, nets
+
+    def test_per_trial_adaptive_adversaries(self):
+        seeds = [300 + 13 * t for t in range(TRIALS)]
+        bc, nets = self.run_both(
+            PerTrialAdversaryBatch(
+                [AdaptiveAdversary(1 / 16, seed=s) for s in seeds]),
+            lambda t: AdaptiveAdversary(1 / 16, seed=seeds[t]))
+        assert sum(net.entries_corrupted for net in nets) > 0
+        assert len({net.rounds_used for net in nets}) == TRIALS
+
+    def test_native_nonadaptive_adversary(self):
+        seeds = [700 + 5 * t for t in range(TRIALS)]
+        _, nets = self.run_both(
+            BatchedNonAdaptiveAdversary(1 / 16, seeds),
+            lambda t: NonAdaptiveAdversary(1 / 16, seed=seeds[t]))
+        assert sum(net.entries_corrupted for net in nets) > 0
+
+    def test_lockstep_round_after_ragged_exchange_raises(self):
+        bc, _ = self.run_both(None, lambda t: NullAdversary())
+        with pytest.raises(RuntimeError, match="ragged"):
+            bc.round(payload_stack(6), width=WIDTH)
 
 
 class TestValidateFaultSets:

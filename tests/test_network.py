@@ -202,15 +202,3 @@ class TestHistory:
         net.round(full_matrix(4), label="step-a")
         net.round(full_matrix(4), label="step-b")
         assert [h.label for h in net.history] == ["step-a", "step-b"]
-
-    def test_full_history_recording(self):
-        net = CongestedClique(4, bandwidth=1, record_full_history=True)
-        payload = full_matrix(4)
-        net.round(payload)
-        assert np.array_equal(net.history[0].intended, payload)
-        assert net.history[0].fault_edges is not None
-
-    def test_lean_history_drops_matrices(self):
-        net = CongestedClique(4, bandwidth=1)
-        net.round(full_matrix(4))
-        assert net.history[0].intended is None
